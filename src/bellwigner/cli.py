@@ -11,7 +11,6 @@ import argparse
 import csv
 import json
 import math
-import os
 import sys
 from typing import Sequence
 
@@ -43,7 +42,6 @@ from .sampler import convergence_study, make_rng, sample_dataset
 from .sweep import VIOLATION_THRESHOLD, grid_sweep, write_records_csv
 
 DEFAULT_SEED = 42
-WORKERS_ENV_VAR = "BELLWIGNER_WORKERS"
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _QUAD_HEADER = ("a", "ap", "b", "bp")
@@ -73,7 +71,7 @@ def _parse_cell(text: str, line: int) -> int:
 
 def read_outcome_csv(path: str) -> DataSetTriple | list[TrialQuad]:
     """Read a triple or quad data file; the header decides which."""
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
         try:
             header = tuple(c.strip().lower() for c in next(reader))
@@ -90,6 +88,8 @@ def read_outcome_csv(path: str) -> DataSetTriple | list[TrialQuad]:
         rows = []
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
+                if not row:  # blank line, e.g. a trailing one
+                    continue
                 raise RaggedRowError(line, f"expected {width} cells, got {len(row)}")
             rows.append(tuple(_parse_cell(cell, line) for cell in row))
     if not rows:
@@ -127,19 +127,6 @@ def _config_from_args(args) -> AngleConfig:
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, indent=2))
-
-
-def _workers_from_env() -> int | None:
-    raw = os.environ.get(WORKERS_ENV_VAR)
-    if raw is None:
-        return None
-    try:
-        workers = int(raw)
-    except ValueError:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be an integer, got {raw!r}") from None
-    if workers < 1:
-        raise ValueError(f"{WORKERS_ENV_VAR} must be >= 1, got {workers}")
-    return workers
 
 
 def cmd_check_data(args) -> int:
@@ -225,8 +212,7 @@ def cmd_sweep(args) -> int:
     convention = AngleConvention(args.convention)
     kind = _SWEEP_KINDS[args.kind]
     mode = Mode(args.mode)
-    workers = _workers_from_env()
-    result = grid_sweep(args.resolution, convention, kind, mode, workers=workers)
+    result = grid_sweep(args.resolution, convention, kind, mode)
     rows_written = None
     if args.out == "-":
         rows_written = write_records_csv(sys.stdout, args.resolution, convention, kind, mode)

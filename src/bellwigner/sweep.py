@@ -1,17 +1,17 @@
 """Angle-grid evaluation of the inequality margins in both modes.
 
 The grid is the half-open cube [0, 2pi)^3 at uniform spacing (a closed grid
-would double-count the periodic boundary). Evaluation runs plane by plane
-over the a-axis, each plane vectorized with numpy, so a resolution-100
-sweep streams instead of buffering 10^6 rows. Planes are independent, and
-the min/count reductions are associative, so results do not depend on
-evaluation order or on the number of worker processes.
+would double-count the periodic boundary). Every margin depends on the
+settings only through b - a and b' - a, so on this periodic grid the a-plane
+at index ia is the a = 0 plane rolled by ia along both axes. The census
+therefore evaluates one plane; record streams still walk every plane, one
+vectorized plane at a time, so a resolution-100 sweep streams instead of
+buffering 10^6 rows.
 """
 
 from __future__ import annotations
 
 import csv
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import IO, Iterable
 
@@ -57,7 +57,6 @@ class SweepResult:
     min_margin: float
     argmin: AngleConfig
     violations: int
-    records: tuple[SweepRecord, ...] | None = None
 
 
 def grid_angles(resolution: int) -> np.ndarray:
@@ -87,74 +86,33 @@ def _margin_planes(
     raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
 
 
-@dataclass(frozen=True)
-class _PlaneSummary:
-    ia: int
-    min_margin: float
-    argmin_flat: int
-    violations: int
-
-
-def _summarize_plane(
-    args: tuple[int, int, AngleConvention, InequalityKind, Mode],
-) -> _PlaneSummary:
-    ia, resolution, convention, kind, mode = args
-    lhs, rhs = _margin_planes(ia, resolution, convention, kind, mode)
-    margin = rhs - lhs
-    flat = int(np.argmin(margin))
-    return _PlaneSummary(
-        ia=ia,
-        min_margin=float(margin.flat[flat]),
-        argmin_flat=flat,
-        violations=int((margin < -VIOLATION_THRESHOLD).sum()),
-    )
-
-
 def grid_sweep(
     resolution: int,
     convention: AngleConvention,
     kind: InequalityKind,
     mode: Mode,
-    collect_records: bool = False,
-    workers: int | None = None,
 ) -> SweepResult:
-    """Evaluate one margin at every grid point; returns min, argmin, counts.
+    """Evaluate one margin over the grid; returns min, argmin and violation count.
 
-    `workers` > 1 distributes a-planes over processes; the reduction is in
-    plane order, so the result is identical for any worker count. Record
-    collection is gated off by default (resolution**3 rows).
+    Each margin is a function of (b - a, b' - a), so every a-plane holds the
+    margins of the a = 0 plane, rolled. The census is R times the a = 0
+    count and the minimum is the a = 0 minimum. `argmin` is the a = 0
+    representative of the minimizing configurations, which are defined up
+    to a common translation of (a, b, b').
     """
     angles = grid_angles(resolution)
-    tasks = [(ia, resolution, convention, kind, mode) for ia in range(resolution)]
-    if workers is not None and workers > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            summaries = list(pool.map(_summarize_plane, tasks))
-    else:
-        summaries = [_summarize_plane(t) for t in tasks]
-
-    best = summaries[0]
-    violations = 0
-    for s in summaries:
-        violations += s.violations
-        if s.min_margin < best.min_margin:
-            best = s
-    argmin = AngleConfig(
-        a=float(angles[best.ia]),
-        b=float(angles[best.argmin_flat // resolution]),
-        bp=float(angles[best.argmin_flat % resolution]),
-        convention=convention,
-    )
-    records = tuple(iter_records(resolution, convention, kind, mode)) if collect_records else None
+    lhs, rhs = _margin_planes(0, resolution, convention, kind, mode)
+    margin = rhs - lhs
+    ib, ibp = divmod(int(np.argmin(margin)), resolution)
     return SweepResult(
         kind=kind,
         mode=mode,
         convention=convention,
         resolution=resolution,
         n_points=resolution**3,
-        min_margin=best.min_margin,
-        argmin=argmin,
-        violations=violations,
-        records=records,
+        min_margin=float(margin[ib, ibp]),
+        argmin=AngleConfig(0.0, float(angles[ib]), float(angles[ibp]), convention),
+        violations=resolution * int((margin < -VIOLATION_THRESHOLD).sum()),
     )
 
 

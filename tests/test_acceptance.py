@@ -219,16 +219,19 @@ def test_criterion_9_reproducibility(tmp_path):
     identical = p1.read_bytes() == p2.read_bytes()
     assert identical
 
-    sequential = grid_sweep(24, SPIN, InequalityKind.WIGNER, Mode.NAIVE)
-    parallel = grid_sweep(24, SPIN, InequalityKind.WIGNER, Mode.NAIVE, workers=3)
+    # the one-plane census against every point of the full R^3 grid
+    sweep = grid_sweep(24, SPIN, InequalityKind.WIGNER, Mode.NAIVE)
+    angles = grid_angles(24)
+    a, b, bp = np.meshgrid(angles, angles, angles, indexing="ij")
+    lhs, rhs = wigner_margin_parts(a, b, bp, 0.5, Mode.NAIVE)
+    margin = rhs - lhs
     same_sweep = (
-        sequential.min_margin == parallel.min_margin
-        and sequential.argmin == parallel.argmin
-        and sequential.violations == parallel.violations
+        sweep.violations == int((margin < -1e-9).sum())
+        and abs(sweep.min_margin - float(margin.min())) <= 1e-12
     )
     assert same_sweep
     _report(
         9,
         identical and same_sweep,
-        "seed-42 simulate files byte-identical; sweep invariant under 3 workers",
+        "seed-42 simulate files byte-identical; R=24 sweep equals the brute-force R^3 census",
     )

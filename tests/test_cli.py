@@ -67,6 +67,28 @@ def test_check_data_reports_ragged_row(tmp_path, capsys):
     assert "expected 3 cells" in err
 
 
+@pytest.mark.parametrize(
+    "prefix, suffix", [("\ufeff", ""), ("", "\n"), ("", "\r\n\n")], ids=["bom", "blank", "blanks"]
+)
+def test_check_data_accepts_bom_and_trailing_blank_lines(tmp_path, capsys, prefix, suffix):
+    body = "+1,+1,+1\n" + "1,-1,+1\n" * 9
+    clean = write_file(tmp_path, "clean.csv", "a,b,bp\n" + body)
+    variant = write_file(tmp_path, "variant.csv", prefix + "a,b,bp\n" + body + suffix)
+    rc_clean, out_clean, _ = run(capsys, "check-data", clean)
+    rc, out, err = run(capsys, "check-data", variant)
+    assert rc == rc_clean == 0, err
+    expected, payload = json.loads(out_clean), json.loads(out)
+    expected.pop("path"), payload.pop("path")
+    assert payload == expected
+
+
+def test_check_data_line_numbers_count_blank_lines(tmp_path, capsys):
+    path = write_file(tmp_path, "d.csv", "a,b,bp\n+1,+1,+1\n\n+1,x,+1\n")
+    rc, _, err = run(capsys, "check-data", path)
+    assert rc == 2
+    assert "line 4" in err
+
+
 def test_check_data_rejects_unknown_header(tmp_path, capsys):
     path = write_file(tmp_path, "d.csv", "x,y,z\n+1,+1,+1\n")
     rc, _, err = run(capsys, "check-data", path)
@@ -224,21 +246,6 @@ def test_sweep_records_to_stdout_keeps_summary_on_stderr(capsys):
     assert out.startswith("a,b,bp,kind,mode")
     assert len(out.strip().split("\n")) == 28
     assert json.loads(err)["violations"] == 0
-
-
-def test_sweep_worker_env_var_is_invariant(capsys, monkeypatch):
-    rc1, out1, _ = run(capsys, "sweep", "--resolution", "6", "--mode", "naive")
-    monkeypatch.setenv("BELLWIGNER_WORKERS", "2")
-    rc2, out2, _ = run(capsys, "sweep", "--resolution", "6", "--mode", "naive")
-    assert rc1 == rc2 == 1
-    assert json.loads(out1) == json.loads(out2)
-
-
-def test_sweep_rejects_bad_worker_env(capsys, monkeypatch):
-    monkeypatch.setenv("BELLWIGNER_WORKERS", "zero")
-    rc, _, err = run(capsys, "sweep", "--resolution", "4")
-    assert rc == 2
-    assert "BELLWIGNER_WORKERS" in err
 
 
 def test_convergence_csv_output(capsys):

@@ -5,9 +5,11 @@ import numpy as np
 import pytest
 
 from bellwigner import (
+    VIOLATION_THRESHOLD,
     AngleConvention,
     InequalityKind,
     Mode,
+    bell_margin,
     grid_angles,
     grid_sweep,
     iter_records,
@@ -15,6 +17,7 @@ from bellwigner import (
     wigner_margin,
     write_records_csv,
 )
+from bellwigner.analytic import bell_margin_parts, half_angle_factor, wigner_margin_parts
 
 SPIN = AngleConvention.SPIN
 OPTICAL = AngleConvention.OPTICAL
@@ -30,10 +33,11 @@ def test_grid_angles_half_open_uniform():
 
 
 def test_smallest_grid_completes():
-    result = grid_sweep(2, SPIN, WIGNER, Mode.PAPER, collect_records=True)
+    result = grid_sweep(2, SPIN, WIGNER, Mode.PAPER)
+    records = list(iter_records(2, SPIN, WIGNER, Mode.PAPER))
     assert result.n_points == 8
-    assert len(result.records) == 8
-    for rec in result.records:
+    assert len(records) == 8
+    for rec in records:
         assert rec.margin == rec.rhs - rec.lhs
 
 
@@ -70,13 +74,29 @@ def test_sweep_rejects_exact_data_mode():
         grid_sweep(4, SPIN, WIGNER, Mode.EXACT_DATA)
 
 
-def test_worker_count_does_not_change_results():
-    seq = grid_sweep(10, SPIN, WIGNER, Mode.NAIVE)
-    par = grid_sweep(10, SPIN, WIGNER, Mode.NAIVE, workers=2)
-    assert par.min_margin == seq.min_margin
-    assert par.argmin == seq.argmin
-    assert par.violations == seq.violations
-    assert par.n_points == seq.n_points
+def brute_force_census(resolution, convention, kind, mode):
+    """(violations, min margin) from every point of the full R^3 grid."""
+    angles = np.arange(resolution) * (2.0 * math.pi / resolution)
+    a, b, bp = np.meshgrid(angles, angles, angles, indexing="ij")
+    parts = bell_margin_parts if kind is BELL else wigner_margin_parts
+    lhs, rhs = parts(a, b, bp, half_angle_factor(convention), mode)
+    margin = rhs - lhs
+    return int((margin < -VIOLATION_THRESHOLD).sum()), float(margin.min())
+
+
+@pytest.mark.parametrize("mode", [Mode.PAPER, Mode.NAIVE])
+@pytest.mark.parametrize("kind", [BELL, WIGNER])
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL])
+@pytest.mark.parametrize("resolution", [2, 3, 5, 12, 24, 61])
+def test_sweep_matches_brute_force_grid(resolution, convention, kind, mode):
+    violations, min_margin = brute_force_census(resolution, convention, kind, mode)
+    result = grid_sweep(resolution, convention, kind, mode)
+    assert result.n_points == resolution**3
+    assert result.violations == violations
+    assert abs(result.min_margin - min_margin) <= 1e-12
+    assert result.argmin.a == 0.0
+    scalar = bell_margin if kind is BELL else wigner_margin
+    assert abs(scalar(result.argmin, mode).margin - result.min_margin) <= 1e-12
 
 
 def test_iter_records_covers_grid_in_order():
