@@ -22,6 +22,7 @@ from .core import (
     AngleConfig,
     AngleConvention,
     ConvergenceRecord,
+    DataSetQuad,
     DataSetTriple,
     EmptyDataError,
     InequalityKind,
@@ -30,8 +31,6 @@ from .core import (
     LengthMismatchError,
     Mode,
     Outcome,
-    TrialQuad,
-    TrialTriple,
 )
 from .data_inequality import (
     ExactCorrelation,
@@ -39,8 +38,7 @@ from .data_inequality import (
     data_bell_margin_3,
     data_bell_margin_3_flipped,
     data_bell_margin_4,
-    per_trial_identity,
-    quad_bracket,
+    quad_brackets,
 )
 from .sampler import (
     InsufficientMatchesError,
@@ -49,11 +47,9 @@ from .sampler import (
     matched_pairs_estimate,
     sample_dataset,
     sample_pair,
-    sample_triple,
 )
 from .sweep import (
     VIOLATION_THRESHOLD,
-    SweepRecord,
     SweepResult,
     grid_angles,
     grid_sweep,

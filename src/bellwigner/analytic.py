@@ -47,6 +47,15 @@ def half_angle_factor(convention: AngleConvention) -> float:
     raise ValueError(f"not an AngleConvention: {convention!r}")
 
 
+def sin2_cos2(k: float, d):
+    """(sin^2(k d), cos^2(k d)) for a setting difference d; broadcasts over arrays.
+
+    Given a fair A-side outcome, these are the conditional +1 probabilities
+    at a setting d away: sin^2 after a +1, cos^2 after a -1.
+    """
+    return np.sin(k * d) ** 2, np.cos(k * d) ** 2
+
+
 def _check_margin_mode(mode: Mode) -> None:
     if mode not in (Mode.PAPER, Mode.NAIVE):
         raise ValueError(f"analytic margins take Mode.PAPER or Mode.NAIVE, got {mode!r}")
@@ -56,9 +65,7 @@ def joint_probability(
     x: float, y: float, convention: AngleConvention = AngleConvention.SPIN
 ) -> JointProbabilities:
     """Four-cell outcome distribution of an entangled pair at settings (x, y)."""
-    k = half_angle_factor(convention)
-    s2 = float(np.sin(k * (y - x)) ** 2)
-    c2 = float(np.cos(k * (y - x)) ** 2)
+    s2, c2 = (float(p) for p in sin2_cos2(half_angle_factor(convention), y - x))
     return JointProbabilities(pp=0.5 * s2, pm=0.5 * c2, mp=0.5 * c2, mm=0.5 * s2)
 
 
@@ -81,11 +88,8 @@ def conditional_plus_probability(
     The A-side marginal is a fair 1/2, so dividing it out of the joint cells
     leaves sin^2(k d) given +1 and cos^2(k d) given -1.
     """
-    k = half_angle_factor(convention)
-    d = setting - a_setting
-    if as_outcome(a_outcome) == 1:
-        return float(np.sin(k * d) ** 2)
-    return float(np.cos(k * d) ** 2)
+    s2, c2 = sin2_cos2(half_angle_factor(convention), setting - a_setting)
+    return float(s2 if as_outcome(a_outcome) == 1 else c2)
 
 
 class ThirdPairProbabilities(NamedTuple):
@@ -100,10 +104,8 @@ def third_pair_probabilities(cfg: AngleConfig) -> ThirdPairProbabilities:
     +-1 outcome at a.
     """
     k = half_angle_factor(cfg.convention)
-    s2b = np.sin(k * (cfg.b - cfg.a)) ** 2
-    c2b = np.cos(k * (cfg.b - cfg.a)) ** 2
-    s2bp = np.sin(k * (cfg.bp - cfg.a)) ** 2
-    c2bp = np.cos(k * (cfg.bp - cfg.a)) ** 2
+    s2b, c2b = sin2_cos2(k, cfg.b - cfg.a)
+    s2bp, c2bp = sin2_cos2(k, cfg.bp - cfg.a)
     ppp = 0.5 * (s2b * s2bp + c2b * c2bp)
     ppm = 0.5 * (s2b * c2bp + c2b * s2bp)
     return ThirdPairProbabilities(float(ppp), float(ppm))
@@ -135,12 +137,10 @@ def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     setting corresponds to a -1 at b'; in PAPER mode the bound is therefore
     the conditional P(+,-) of the (b, b') pair.
     """
-    s2b = np.sin(k * (b - a)) ** 2
-    s2bp = np.sin(k * (bp - a)) ** 2
+    s2b, c2b = sin2_cos2(k, b - a)
+    s2bp, c2bp = sin2_cos2(k, bp - a)
     lhs = 0.5 * s2b - 0.5 * s2bp
     if mode is Mode.PAPER:
-        c2b = np.cos(k * (b - a)) ** 2
-        c2bp = np.cos(k * (bp - a)) ** 2
         rhs = 0.5 * (s2b * c2bp + c2b * s2bp)
     else:
         rhs = 0.5 * np.sin(k * (b - bp)) ** 2

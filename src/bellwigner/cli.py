@@ -12,7 +12,10 @@ import csv
 import json
 import math
 import sys
+from array import array
 from typing import Sequence
+
+import numpy as np
 
 from .analytic import (
     bell_correlation,
@@ -26,12 +29,12 @@ from .analytic import (
 from .core import (
     AngleConfig,
     AngleConvention,
+    DataSetQuad,
     DataSetTriple,
     EmptyDataError,
     InequalityKind,
     LengthMismatchError,
     Mode,
-    TrialQuad,
 )
 from .data_inequality import (
     cross_correlation,
@@ -44,7 +47,8 @@ from .sweep import VIOLATION_THRESHOLD, grid_sweep, write_records_csv
 DEFAULT_SEED = 42
 
 _TRIPLE_HEADER = ("a", "b", "bp")
-_QUAD_HEADER = ("a", "ap", "b", "bp")
+_DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
+_MARGINS = {DataSetTriple: data_bell_margin_3, DataSetQuad: data_bell_margin_4}
 _CELL_TEXT = {1: "+1", -1: "-1"}
 
 
@@ -69,7 +73,7 @@ def _parse_cell(text: str, line: int) -> int:
     raise DataParseError(line, f"invalid outcome cell {text!r} (expected +1, 1 or -1)")
 
 
-def read_outcome_csv(path: str) -> DataSetTriple | list[TrialQuad]:
+def read_outcome_csv(path: str) -> DataSetTriple | DataSetQuad:
     """Read a triple or quad data file; the header decides which."""
     with open(path, newline="", encoding="utf-8-sig") as fh:
         reader = csv.reader(fh)
@@ -77,26 +81,23 @@ def read_outcome_csv(path: str) -> DataSetTriple | list[TrialQuad]:
             header = tuple(c.strip().lower() for c in next(reader))
         except StopIteration:
             raise DataParseError(1, "empty file, expected a header row") from None
-        if header == _TRIPLE_HEADER:
-            width = 3
-        elif header == _QUAD_HEADER:
-            width = 4
-        else:
+        if header not in _DATA_SETS:
             raise DataParseError(
                 1, f"unrecognized header {list(header)!r}, expected a,b,bp or a,ap,b,bp"
             )
-        rows = []
+        width = len(header)
+        # parsed cells go straight into one flat int8 buffer, row after row
+        cells = array("b")
         for line, row in enumerate(reader, start=2):
             if len(row) != width:
                 if not row:  # blank line, e.g. a trailing one
                     continue
                 raise RaggedRowError(line, f"expected {width} cells, got {len(row)}")
-            rows.append(tuple(_parse_cell(cell, line) for cell in row))
-    if not rows:
+            cells.extend([_parse_cell(cell, line) for cell in row])
+    if not cells:
         raise EmptyDataError(f"{path}: no data rows")
-    if width == 3:
-        return DataSetTriple.from_trials(rows)
-    return [TrialQuad(*row) for row in rows]
+    rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, width)
+    return _DATA_SETS[header].from_trials(rows)
 
 
 def write_triples_csv(path: str, data: DataSetTriple) -> None:
@@ -131,13 +132,8 @@ def _print_json(obj) -> None:
 
 def cmd_check_data(args) -> int:
     data = read_outcome_csv(args.path)
-    if isinstance(data, DataSetTriple):
-        report = data_bell_margin_3(data)
-        n = data.n
-    else:
-        report = data_bell_margin_4(data)
-        n = len(data)
-    payload = {"command": "check-data", "path": args.path, "n": n, **report.as_dict()}
+    report = _MARGINS[type(data)](data)
+    payload = {"command": "check-data", "path": args.path, "n": data.n, **report.as_dict()}
     if args.format == "json":
         _print_json(payload)
     else:
@@ -356,7 +352,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (DataParseError, EmptyDataError, LengthMismatchError, OSError, ValueError) as exc:
+    except (
+        DataParseError, EmptyDataError, LengthMismatchError, MemoryError, OSError, ValueError
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

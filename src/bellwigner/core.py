@@ -1,17 +1,17 @@
-"""Shared domain types: outcomes, trial records, angle configurations, and reports.
+"""Shared domain types: outcomes, columnar data sets, angle configurations, and reports.
 
 Everything here is an immutable value type with validating construction.
 Outcomes are signed integers (+1/-1), never booleans, so products like
-``t.a * t.b`` are literal integer multiplications and data-level sums stay
+``d.a * d.b`` are literal integer multiplications and data-level sums stay
 exact.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum, IntEnum
-from typing import Iterable, Iterator
+from typing import Sequence
 
 import numpy as np
 
@@ -55,81 +55,65 @@ def outcome_array(values) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class TrialTriple:
-    """Aligned outcomes of one trial at settings (a, b, b')."""
+class _OutcomeColumns:
+    """N >= 1 trials stored as aligned, read-only int8 columns, one per field.
 
-    a: int
-    b: int
-    bp: int
-
-    def __post_init__(self) -> None:
-        for name in ("a", "b", "bp"):
-            object.__setattr__(self, name, as_outcome(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class TrialQuad:
-    """Aligned outcomes of one trial at settings (a, a', b, b')."""
-
-    a: int
-    ap: int
-    b: int
-    bp: int
-
-    def __post_init__(self) -> None:
-        for name in ("a", "ap", "b", "bp"):
-            object.__setattr__(self, name, as_outcome(getattr(self, name)))
-
-
-@dataclass(frozen=True)
-class DataSetTriple:
-    """An ordered set of N >= 1 trials at settings (a, b, b').
-
-    Stored columnar (three aligned int8 arrays) so that million-trial sets
-    stay cheap; iteration yields one validated :class:`TrialTriple` per row.
+    Subclasses only declare the columns; million-trial sets stay cheap and
+    every bulk computation is a vectorised sum over whole columns.
     """
+
+    def __post_init__(self) -> None:
+        names = [f.name for f in fields(self)]
+        cols = []
+        for name in names:
+            arr = outcome_array(getattr(self, name))
+            arr.setflags(write=False)
+            cols.append(arr)
+            object.__setattr__(self, name, arr)
+        lengths = tuple(c.shape[0] for c in cols)
+        if len(set(lengths)) != 1:
+            raise LengthMismatchError(
+                f"columns {', '.join(names)} must have equal length, got {lengths}"
+            )
+        if lengths[0] == 0:
+            raise EmptyDataError("a data set needs at least one trial")
+
+    @classmethod
+    def from_trials(cls, rows: Sequence[tuple] | np.ndarray):
+        """Build from a sequence of row tuples or an (N, width) array of outcomes."""
+        if len(rows) == 0:
+            raise EmptyDataError("a data set needs at least one trial")
+        arr = np.asarray(rows)
+        width = len(fields(cls))
+        if arr.ndim != 2 or arr.shape[1] != width:
+            raise ValueError(f"expected rows of {width} outcomes, got shape {arr.shape}")
+        return cls(*arr.T)
+
+    @property
+    def n(self) -> int:
+        return int(getattr(self, fields(self)[0].name).shape[0])
+
+    def __len__(self) -> int:
+        return self.n
+
+
+@dataclass(frozen=True)
+class DataSetTriple(_OutcomeColumns):
+    """An ordered set of N >= 1 trials at settings (a, b, b')."""
 
     a: np.ndarray
     b: np.ndarray
     bp: np.ndarray
 
-    def __post_init__(self) -> None:
-        cols = []
-        for name in ("a", "b", "bp"):
-            arr = outcome_array(getattr(self, name))
-            arr.setflags(write=False)
-            cols.append(arr)
-            object.__setattr__(self, name, arr)
-        if len({c.shape[0] for c in cols}) != 1:
-            raise LengthMismatchError(
-                "columns a, b, bp must have equal length, got "
-                f"{tuple(c.shape[0] for c in cols)}"
-            )
-        if cols[0].shape[0] == 0:
-            raise EmptyDataError("a data set needs at least one trial")
 
-    @classmethod
-    def from_trials(cls, trials: Iterable[TrialTriple | tuple]) -> "DataSetTriple":
-        rows = [
-            (t.a, t.b, t.bp) if isinstance(t, TrialTriple) else tuple(t) for t in trials
-        ]
-        if not rows:
-            raise EmptyDataError("a data set needs at least one trial")
-        arr = np.asarray(rows)
-        if arr.ndim != 2 or arr.shape[1] != 3:
-            raise ValueError(f"expected rows of three outcomes, got shape {arr.shape}")
-        return cls(arr[:, 0], arr[:, 1], arr[:, 2])
+@dataclass(frozen=True)
+class DataSetQuad(_OutcomeColumns):
+    """An ordered set of N >= 1 trials at settings (a, a', b, b')."""
 
-    @property
-    def n(self) -> int:
-        return int(self.a.shape[0])
-
-    def __len__(self) -> int:
-        return self.n
-
-    def __iter__(self) -> Iterator[TrialTriple]:
-        for a, b, bp in zip(self.a, self.b, self.bp):
-            yield TrialTriple(int(a), int(b), int(bp))
+    a: np.ndarray
+    ap: np.ndarray
+    b: np.ndarray
+    bp: np.ndarray
 
 
 class AngleConvention(Enum):

@@ -17,19 +17,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from .core import (
+    DataSetQuad,
     DataSetTriple,
     EmptyDataError,
     InequalityKind,
     InequalityReport,
     LengthMismatchError,
     Mode,
-    TrialQuad,
-    TrialTriple,
     outcome_array,
 )
 
@@ -71,14 +69,9 @@ def cross_correlation(xs, ys) -> ExactCorrelation:
     return ExactCorrelation(numerator, x.shape[0])
 
 
-def per_trial_identity(t: TrialTriple) -> bool:
-    """Executable witness that a*b - a*b' = a*(b - b') for a single trial."""
-    return t.a * t.b - t.a * t.bp == t.a * (t.b - t.bp)
-
-
-def quad_bracket(q: TrialQuad) -> int:
-    """Per-trial four-set combination a*b + a*b' + a'*b - a'*b'; always +-2."""
-    return q.a * q.b + q.a * q.bp + q.ap * q.b - q.ap * q.bp
+def quad_brackets(d: DataSetQuad) -> np.ndarray:
+    """Per-trial four-set combinations a*b + a*b' + a'*b - a'*b'; each is +-2."""
+    return d.a * (d.b + d.bp) + d.ap * (d.b - d.bp)
 
 
 def _exact_report(
@@ -131,19 +124,7 @@ def data_bell_margin_3_flipped(d: DataSetTriple) -> InequalityReport:
     return _exact_report(InequalityKind.DATA_BELL_3, lhs_scaled, rhs_scaled, d.n)
 
 
-def data_bell_margin_4(
-    quads: Sequence[TrialQuad] | Iterable[TrialQuad | tuple],
-) -> InequalityReport:
+def data_bell_margin_4(d: DataSetQuad) -> InequalityReport:
     """Exact four-set inequality |mean of the per-trial brackets| <= 2."""
-    total = 0
-    n = 0
-    for q in quads:
-        if not isinstance(q, TrialQuad):
-            q = TrialQuad(*q)
-        total += quad_bracket(q)
-        n += 1
-    if n == 0:
-        raise EmptyDataError("a four-set evaluation needs at least one trial")
-    lhs_scaled = abs(total)
-    rhs_scaled = 2 * n
-    return _exact_report(InequalityKind.DATA_BELL_4, lhs_scaled, rhs_scaled, n)
+    total = int(quad_brackets(d).sum(dtype=np.int64))
+    return _exact_report(InequalityKind.DATA_BELL_4, abs(total), 2 * d.n, d.n)

@@ -19,19 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import (
-    conditional_plus_probability,
-    half_angle_factor,
-    joint_probability,
-    third_correlation,
-)
-from .core import (
-    AngleConfig,
-    AngleConvention,
-    ConvergenceRecord,
-    DataSetTriple,
-    TrialTriple,
-)
+from .analytic import half_angle_factor, joint_probability, sin2_cos2, third_correlation
+from .core import AngleConfig, AngleConvention, ConvergenceRecord, DataSetTriple
 from .data_inequality import cross_correlation, data_bell_margin_3
 
 
@@ -62,48 +51,27 @@ def sample_pair(
     return cells[idx]
 
 
-def sample_triple(cfg: AngleConfig, rng: np.random.Generator) -> TrialTriple:
-    """Draw one trial: fair +-1 at a, then b and b' conditionally given it."""
-    a = 1 if rng.random() < 0.5 else -1
-    p_b = conditional_plus_probability(cfg.b, cfg.a, a, cfg.convention)
-    b = 1 if rng.random() < p_b else -1
-    p_bp = conditional_plus_probability(cfg.bp, cfg.a, a, cfg.convention)
-    bp = 1 if rng.random() < p_bp else -1
-    return TrialTriple(a, b, bp)
-
-
 def _plus_outcomes(n: int, p_plus, rng: np.random.Generator) -> np.ndarray:
     return np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
 
 
+def _conditional_outcomes(
+    a: np.ndarray, d: float, k: float, rng: np.random.Generator
+) -> np.ndarray:
+    """Outcomes at a setting d away from a, each drawn given its a-side outcome."""
+    s2, c2 = sin2_cos2(k, d)
+    return _plus_outcomes(a.shape[0], np.where(a == 1, s2, c2), rng)
+
+
 def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSetTriple:
-    """Vectorized bulk form of :func:`sample_triple`; draw order is a, b, b'."""
+    """Draw n trials: fair +-1 at a, then b and b' given it; draw order a, b, b'."""
     if n < 1:
         raise ValueError("n must be >= 1")
     k = half_angle_factor(cfg.convention)
-    s2b = np.sin(k * (cfg.b - cfg.a)) ** 2
-    c2b = np.cos(k * (cfg.b - cfg.a)) ** 2
-    s2bp = np.sin(k * (cfg.bp - cfg.a)) ** 2
-    c2bp = np.cos(k * (cfg.bp - cfg.a)) ** 2
     a = _plus_outcomes(n, 0.5, rng)
-    b = _plus_outcomes(n, np.where(a == 1, s2b, c2b), rng)
-    bp = _plus_outcomes(n, np.where(a == 1, s2bp, c2bp), rng)
+    b = _conditional_outcomes(a, cfg.b - cfg.a, k, rng)
+    bp = _conditional_outcomes(a, cfg.bp - cfg.a, k, rng)
     return DataSetTriple(a, b, bp)
-
-
-def _sample_arm(
-    a_angle: float,
-    y_angle: float,
-    convention: AngleConvention,
-    n: int,
-    rng: np.random.Generator,
-) -> tuple[np.ndarray, np.ndarray]:
-    k = half_angle_factor(convention)
-    s2 = np.sin(k * (y_angle - a_angle)) ** 2
-    c2 = np.cos(k * (y_angle - a_angle)) ** 2
-    a = _plus_outcomes(n, 0.5, rng)
-    y = _plus_outcomes(n, np.where(a == 1, s2, c2), rng)
-    return a, y
 
 
 def matched_pairs_estimate(
@@ -119,8 +87,11 @@ def matched_pairs_estimate(
     """
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
-    a1, b1 = _sample_arm(cfg.a, cfg.b, cfg.convention, n_per_arm, rng)
-    a2, b2 = _sample_arm(cfg.a, cfg.bp, cfg.convention, n_per_arm, rng)
+    k = half_angle_factor(cfg.convention)
+    a1 = _plus_outcomes(n_per_arm, 0.5, rng)
+    b1 = _conditional_outcomes(a1, cfg.b - cfg.a, k, rng)
+    a2 = _plus_outcomes(n_per_arm, 0.5, rng)
+    b2 = _conditional_outcomes(a2, cfg.bp - cfg.a, k, rng)
     total = 0
     pairs = 0
     for group in (1, -1):

@@ -13,7 +13,8 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from typing import IO, Iterable
+from itertools import repeat
+from typing import IO, Iterator
 
 import numpy as np
 
@@ -29,22 +30,6 @@ from .core import AngleConfig, AngleConvention, InequalityKind, Mode
 VIOLATION_THRESHOLD = 1e-9
 
 SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
-
-
-@dataclass(frozen=True)
-class SweepRecord:
-    a: float
-    b: float
-    bp: float
-    kind: InequalityKind
-    mode: Mode
-    lhs: float
-    rhs: float
-    margin: float
-
-    def __post_init__(self) -> None:
-        if self.margin != self.rhs - self.lhs:
-            raise ValueError("margin must equal rhs - lhs")
 
 
 @dataclass(frozen=True)
@@ -121,26 +106,22 @@ def iter_records(
     convention: AngleConvention,
     kind: InequalityKind,
     mode: Mode,
-) -> Iterable[SweepRecord]:
-    """Stream every grid point as a SweepRecord, in (a, b, bp) index order."""
-    angles = grid_angles(resolution)
-    for ia in range(resolution):
+) -> Iterator[tuple[float, float, float, float, float, float]]:
+    """Stream every grid point as (a, b, bp, lhs, rhs, margin), in (a, b, bp) index order."""
+    angles = grid_angles(resolution).tolist()
+    for ia, a in enumerate(angles):
         lhs, rhs = _margin_planes(ia, resolution, convention, kind, mode)
         margin = rhs - lhs
-        for ib in range(resolution):
-            for ibp in range(resolution):
-                l = float(lhs[ib, ibp])
-                r = float(rhs[ib, ibp])
-                yield SweepRecord(
-                    a=float(angles[ia]),
-                    b=float(angles[ib]),
-                    bp=float(angles[ibp]),
-                    kind=kind,
-                    mode=mode,
-                    lhs=l,
-                    rhs=r,
-                    margin=float(margin[ib, ibp]),
-                )
+        # one plane row at a time keeps O(R) Python floats alive, not O(R^2)
+        for ib, b in enumerate(angles):
+            yield from zip(
+                repeat(a),
+                repeat(b),
+                angles,
+                lhs[ib].tolist(),
+                rhs[ib].tolist(),
+                margin[ib].tolist(),
+            )
 
 
 def write_records_csv(
@@ -153,22 +134,12 @@ def write_records_csv(
     """Stream all grid records to `out` as CSV; returns the row count."""
     writer = csv.writer(out, lineterminator="\n")
     writer.writerow(SWEEP_CSV_COLUMNS)
-    n = 0
-    for rec in iter_records(resolution, convention, kind, mode):
-        writer.writerow(
-            (
-                repr(rec.a),
-                repr(rec.b),
-                repr(rec.bp),
-                rec.kind.name,
-                rec.mode.name,
-                repr(rec.lhs),
-                repr(rec.rhs),
-                repr(rec.margin),
-            )
-        )
-        n += 1
-    return n
+    # the csv module writes floats by repr, so every value round-trips
+    writer.writerows(
+        (a, b, bp, kind.name, mode.name, lhs, rhs, margin)
+        for a, b, bp, lhs, rhs, margin in iter_records(resolution, convention, kind, mode)
+    )
+    return resolution**3
 
 
 def violation_census(

@@ -17,7 +17,7 @@ from bellwigner import (
     AngleConvention,
     InequalityKind,
     Mode,
-    TrialQuad,
+    DataSetQuad,
     DataSetTriple,
     bell_correlation,
     bell_margin,
@@ -84,11 +84,11 @@ def test_criterion_1_data_identity_exhaustive_and_random():
 
 def test_criterion_2_four_set_identity_exhaustive():
     start = time.perf_counter()
-    all_quads = [TrialQuad(*q) for q in itertools.product((1, -1), repeat=4)]
+    all_quads = list(itertools.product((1, -1), repeat=4))
     checked = 0
     for n in range(1, 4):
         for quads in itertools.product(all_quads, repeat=n):
-            report = data_bell_margin_4(quads)
+            report = data_bell_margin_4(DataSetQuad.from_trials(quads))
             assert report.lhs <= 2.0
             assert report.margin >= 0.0
             assert report.satisfied

@@ -272,6 +272,24 @@ def test_convergence_json_output(tmp_path, capsys):
     assert all(r["seed"] == 42 for r in rows)
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "--resolution", "2000000"],
+        ["simulate", "--n", "100000000000000", "--out", "unused.csv"],
+        ["convergence", "--n-list", "100000000000000"],
+    ],
+    ids=["sweep", "simulate", "convergence"],
+)
+def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv):
+    # each size fails at its first allocation, so nothing large is ever touched
+    monkeypatch.chdir(tmp_path)
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
 def test_convergence_rejects_bad_n_list(capsys):
     rc, _, err = run(capsys, "convergence", "--n-list", "10,abc")
     assert rc == 2

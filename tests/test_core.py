@@ -1,4 +1,5 @@
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from bellwigner import (
     AngleConfig,
     AngleConvention,
     ConvergenceRecord,
+    DataSetQuad,
     DataSetTriple,
     EmptyDataError,
     InequalityKind,
@@ -16,10 +18,14 @@ from bellwigner import (
     LengthMismatchError,
     Mode,
     Outcome,
-    TrialQuad,
-    TrialTriple,
 )
 from conftest import datasets
+
+DATA_SETS = pytest.mark.parametrize("cls", [DataSetTriple, DataSetQuad])
+
+
+def width(cls):
+    return len(fields(cls))
 
 
 def test_outcome_members_are_plain_integers():
@@ -34,53 +40,56 @@ def test_outcome_rejects_other_integers(bad):
         Outcome(bad)
 
 
-def test_trial_triple_validates_fields():
-    t = TrialTriple(1, -1, 1)
-    assert (t.a, t.b, t.bp) == (1, -1, 1)
-    with pytest.raises(ValueError, match="outcome"):
-        TrialTriple(1, 0, 1)
-
-
-def test_trial_quad_validates_fields():
-    q = TrialQuad(1, 1, -1, -1)
-    assert (q.a, q.ap, q.b, q.bp) == (1, 1, -1, -1)
-    with pytest.raises(ValueError):
-        TrialQuad(1, 1, 3, -1)
-
-
-def test_dataset_from_columns_and_iteration():
+def test_dataset_from_columns():
     d = DataSetTriple([1, 1, -1], [1, -1, -1], [-1, 1, 1])
     assert d.n == len(d) == 3
-    assert list(d) == [TrialTriple(1, 1, -1), TrialTriple(1, -1, 1), TrialTriple(-1, -1, 1)]
+    assert d.b.dtype == np.int8
+    assert d.b.tolist() == [1, -1, -1]
 
 
-def test_dataset_from_trials_round_trip():
-    trials = [TrialTriple(1, -1, 1), TrialTriple(-1, -1, -1)]
-    d = DataSetTriple.from_trials(trials)
-    assert list(d) == trials
+@DATA_SETS
+def test_dataset_from_trials_round_trip(cls):
+    rows = [(1, -1, 1, -1)[: width(cls)], (-1,) * width(cls)]
+    d = cls.from_trials(rows)
+    assert d.n == len(d) == 2
+    assert list(zip(*(getattr(d, f.name).tolist() for f in fields(cls)))) == rows
 
 
-def test_dataset_rejects_empty():
+@DATA_SETS
+def test_dataset_rejects_empty(cls):
     with pytest.raises(EmptyDataError):
-        DataSetTriple([], [], [])
+        cls(*[[]] * width(cls))
     with pytest.raises(EmptyDataError):
-        DataSetTriple.from_trials([])
+        cls.from_trials([])
 
 
-def test_dataset_rejects_ragged_columns():
+@DATA_SETS
+def test_dataset_rejects_ragged_columns(cls):
     with pytest.raises(LengthMismatchError):
-        DataSetTriple([1, 1], [1], [1, -1])
+        cls([1, 1], [1], *[[1, -1]] * (width(cls) - 2))
 
 
-def test_dataset_rejects_invalid_values():
+@DATA_SETS
+def test_dataset_rejects_invalid_values(cls):
     with pytest.raises(ValueError, match="only \\+1/-1"):
-        DataSetTriple([1, 2], [1, 1], [1, 1])
+        cls([1, 2], *[[1, 1]] * (width(cls) - 1))
+    with pytest.raises(ValueError, match="only \\+1/-1"):
+        cls.from_trials([(1.5,) + (1,) * (width(cls) - 1)])
 
 
-def test_dataset_columns_are_read_only():
-    d = DataSetTriple([1], [1], [-1])
-    with pytest.raises(ValueError):
-        d.a[0] = -1
+@DATA_SETS
+def test_dataset_columns_are_read_only(cls):
+    d = cls(*[[1]] * width(cls))
+    for f in fields(cls):
+        with pytest.raises(ValueError):
+            getattr(d, f.name)[0] = -1
+
+
+@DATA_SETS
+def test_dataset_from_trials_rejects_wrong_width(cls):
+    for bad in (width(cls) - 1, width(cls) + 1):
+        with pytest.raises(ValueError, match=f"rows of {width(cls)} outcomes"):
+            cls.from_trials([(1,) * bad])
 
 
 @given(datasets)

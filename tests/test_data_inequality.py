@@ -7,25 +7,23 @@ from hypothesis import given
 import hypothesis.strategies as st
 
 from bellwigner import (
+    DataSetQuad,
     DataSetTriple,
     EmptyDataError,
     ExactCorrelation,
     InequalityKind,
     LengthMismatchError,
     Mode,
-    TrialQuad,
-    TrialTriple,
     cross_correlation,
     data_bell_margin_3,
     data_bell_margin_3_flipped,
     data_bell_margin_4,
-    per_trial_identity,
-    quad_bracket,
+    quad_brackets,
 )
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
-ALL_QUADS = [TrialQuad(*q) for q in itertools.product((1, -1), repeat=4)]
+ALL_QUADS = list(itertools.product((1, -1), repeat=4))
 
 
 def test_exact_correlation_bounds():
@@ -63,11 +61,6 @@ def test_cross_correlation_symmetry_and_extremes(xs, data):
     assert cross_correlation(xs, [-x for x in xs]).value == -1.0
 
 
-def test_per_trial_identity_all_eight_sign_combinations():
-    for a, b, bp in ALL_TRIPLES:
-        assert per_trial_identity(TrialTriple(a, b, bp))
-
-
 def test_margin_3_equal_settings_has_zero_margin():
     d = DataSetTriple.from_trials([(1, 1, 1)] * 4)
     r = data_bell_margin_3(d)
@@ -102,11 +95,11 @@ def test_margin_3_nonnegative_exhaustive_small_n(n):
 
 
 def _margin_3_oracle(d: DataSetTriple) -> float:
-    # independent pure-python route: per-trial integer sums from the rows
-    trials = list(d)
-    sab = sum(t.a * t.b for t in trials)
-    sabp = sum(t.a * t.bp for t in trials)
-    sbbp = sum(t.b * t.bp for t in trials)
+    # independent pure-python route: per-trial integer sums over the columns
+    a, b, bp = d.a.tolist(), d.b.tolist(), d.bp.tolist()
+    sab = sum(x * y for x, y in zip(a, b))
+    sabp = sum(x * y for x, y in zip(a, bp))
+    sbbp = sum(x * y for x, y in zip(b, bp))
     return ((d.n - sbbp) - abs(sab - sabp)) / d.n
 
 
@@ -140,41 +133,49 @@ def test_flipped_margin_identical_on_bulk_random_datasets():
         assert data_bell_margin_3_flipped(d).margin == data_bell_margin_3(d).margin
 
 
-def test_quad_bracket_is_plus_minus_two_for_all_sixteen():
-    assert {quad_bracket(q) for q in ALL_QUADS} == {-2, 2}
+def test_quad_brackets_are_plus_minus_two_for_all_sixteen():
+    brackets = quad_brackets(DataSetQuad.from_trials(ALL_QUADS))
+    assert brackets.shape == (16,)
+    assert set(brackets.tolist()) == {-2, 2}
 
 
 def test_margin_4_hand_examples():
-    r = data_bell_margin_4([TrialQuad(1, 1, 1, 1)])
+    r = data_bell_margin_4(DataSetQuad.from_trials([(1, 1, 1, 1)]))
     assert (r.lhs, r.rhs, r.margin) == (2.0, 2.0, 0.0)
     assert r.kind is InequalityKind.DATA_BELL_4
-    r = data_bell_margin_4([TrialQuad(1, 1, 1, -1)])
+    r = data_bell_margin_4(DataSetQuad.from_trials([(1, 1, 1, -1)]))
     assert (r.lhs, r.margin) == (2.0, 0.0)
-
-
-def test_margin_4_accepts_raw_tuples():
-    r = data_bell_margin_4([(1, 1, 1, 1), (-1, 1, -1, 1)])
-    assert r.satisfied
 
 
 @pytest.mark.parametrize("n", [1, 2])
 def test_margin_4_nonnegative_exhaustive_small_n(n):
     for quads in itertools.product(ALL_QUADS, repeat=n):
-        r = data_bell_margin_4(quads)
+        r = data_bell_margin_4(DataSetQuad.from_trials(quads))
         assert r.satisfied
         assert r.lhs <= 2.0
 
 
 @given(st.lists(quad_rows, min_size=1, max_size=40))
 def test_margin_4_nonnegative_random(rows):
-    r = data_bell_margin_4(rows)
+    r = data_bell_margin_4(DataSetQuad.from_trials(rows))
     assert r.satisfied
     assert r.margin >= 0.0
 
 
-def test_margin_4_rejects_empty():
-    with pytest.raises(EmptyDataError):
-        data_bell_margin_4([])
+def _margin_4_reference(rows) -> tuple[float, float, float]:
+    # the per-row loop the vectorised sum replaced: (lhs, rhs, margin)
+    total = 0
+    n = 0
+    for a, ap, b, bp in rows:
+        total += a * b + a * bp + ap * b - ap * bp
+        n += 1
+    return abs(total) / n, 2 * n / n, (2 * n - abs(total)) / n
+
+
+@given(st.lists(quad_rows, min_size=1, max_size=40))
+def test_margin_4_matches_per_row_reference(rows):
+    r = data_bell_margin_4(DataSetQuad.from_trials(rows))
+    assert (r.lhs, r.rhs, r.margin) == _margin_4_reference(rows)
 
 
 @given(trial_rows)

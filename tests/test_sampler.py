@@ -17,7 +17,6 @@ from bellwigner import (
     matched_pairs_estimate,
     sample_dataset,
     sample_pair,
-    sample_triple,
     third_correlation,
 )
 
@@ -57,13 +56,6 @@ def test_sample_pair_quarter_cell_frequencies():
     counts = Counter(sample_pair(0.0, math.pi / 2, SPIN, rng) for _ in range(20000))
     for cell in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         assert counts[cell] / 20000 == pytest.approx(0.25, abs=0.02)
-
-
-def test_sample_triple_aligned_settings_forces_b_equal_bp():
-    rng = make_rng(5)
-    for _ in range(100):
-        t = sample_triple(ALIGNED, rng)
-        assert t.b == t.bp == -t.a
 
 
 def test_sample_dataset_aligned_settings():
