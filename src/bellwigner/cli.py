@@ -12,10 +12,7 @@ import csv
 import json
 import math
 import sys
-from array import array
 from typing import Sequence
-
-import numpy as np
 
 from .analytic import (
     bell_correlation,
@@ -41,71 +38,13 @@ from .data_inequality import (
     data_bell_margin_3,
     data_bell_margin_4,
 )
+from .datafile import DataParseError, read_outcome_csv, write_triples_csv
 from .sampler import convergence_study, make_rng, sample_dataset
 from .sweep import VIOLATION_THRESHOLD, grid_sweep, write_records_csv
 
 DEFAULT_SEED = 42
 
-_TRIPLE_HEADER = ("a", "b", "bp")
-_DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
 _MARGINS = {DataSetTriple: data_bell_margin_3, DataSetQuad: data_bell_margin_4}
-_CELL_TEXT = {1: "+1", -1: "-1"}
-
-
-class DataParseError(ValueError):
-    """A data file cell or header failed to parse; carries the line number."""
-
-    def __init__(self, line: int, message: str):
-        super().__init__(f"line {line}: {message}")
-        self.line = line
-
-
-class RaggedRowError(DataParseError):
-    """A data file row has the wrong number of cells."""
-
-
-def _parse_cell(text: str, line: int) -> int:
-    cell = text.strip()
-    if cell in ("+1", "1"):
-        return 1
-    if cell == "-1":
-        return -1
-    raise DataParseError(line, f"invalid outcome cell {text!r} (expected +1, 1 or -1)")
-
-
-def read_outcome_csv(path: str) -> DataSetTriple | DataSetQuad:
-    """Read a triple or quad data file; the header decides which."""
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = tuple(c.strip().lower() for c in next(reader))
-        except StopIteration:
-            raise DataParseError(1, "empty file, expected a header row") from None
-        if header not in _DATA_SETS:
-            raise DataParseError(
-                1, f"unrecognized header {list(header)!r}, expected a,b,bp or a,ap,b,bp"
-            )
-        width = len(header)
-        # parsed cells go straight into one flat int8 buffer, row after row
-        cells = array("b")
-        for line, row in enumerate(reader, start=2):
-            if len(row) != width:
-                if not row:  # blank line, e.g. a trailing one
-                    continue
-                raise RaggedRowError(line, f"expected {width} cells, got {len(row)}")
-            cells.extend([_parse_cell(cell, line) for cell in row])
-    if not cells:
-        raise EmptyDataError(f"{path}: no data rows")
-    rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, width)
-    return _DATA_SETS[header].from_trials(rows)
-
-
-def write_triples_csv(path: str, data: DataSetTriple) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(_TRIPLE_HEADER)
-        for a, b, bp in zip(data.a.tolist(), data.b.tolist(), data.bp.tolist()):
-            writer.writerow((_CELL_TEXT[a], _CELL_TEXT[b], _CELL_TEXT[bp]))
 
 
 def _parse_angles(text: str, degrees: bool) -> tuple[float, float, float]:

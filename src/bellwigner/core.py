@@ -48,8 +48,9 @@ def outcome_array(values) -> np.ndarray:
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D outcome sequence, got shape {arr.shape}")
-    if arr.size and not np.isin(arr, (-1, 1)).all():
-        bad = arr[~np.isin(arr, (-1, 1))][0]
+    valid = (arr == 1) | (arr == -1)
+    if not valid.all():
+        bad = arr[~valid][0]
         raise ValueError(f"outcome sequence contains value {bad!r}, only +1/-1 allowed")
     return arr.astype(np.int8)
 

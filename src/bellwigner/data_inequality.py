@@ -65,7 +65,7 @@ def cross_correlation(xs, ys) -> ExactCorrelation:
         )
     if x.shape[0] == 0:
         raise EmptyDataError("cannot correlate empty sequences")
-    numerator = int(np.multiply(x, y, dtype=np.int64).sum())
+    numerator = int((x * y).sum(dtype=np.int64))
     return ExactCorrelation(numerator, x.shape[0])
 
 
@@ -92,9 +92,10 @@ def _exact_report(
 
 
 def _triple_sums(d: DataSetTriple) -> tuple[int, int, int]:
-    sab = int(np.multiply(d.a, d.b, dtype=np.int64).sum())
-    sabp = int(np.multiply(d.a, d.bp, dtype=np.int64).sum())
-    sbbp = int(np.multiply(d.b, d.bp, dtype=np.int64).sum())
+    # int8 products of +-1 are exact; the sums accumulate in int64
+    sab = int((d.a * d.b).sum(dtype=np.int64))
+    sabp = int((d.a * d.bp).sum(dtype=np.int64))
+    sbbp = int((d.b * d.bp).sum(dtype=np.int64))
     return sab, sabp, sbbp
 
 
@@ -118,7 +119,7 @@ def data_bell_margin_3_flipped(d: DataSetTriple) -> InequalityReport:
     """
     sab, sabp, _ = _triple_sums(d)
     ap = np.negative(d.bp)
-    sbap = int(np.multiply(d.b, ap, dtype=np.int64).sum())
+    sbap = int((d.b * ap).sum(dtype=np.int64))
     lhs_scaled = abs(sab - sabp)
     rhs_scaled = d.n + sbap
     return _exact_report(InequalityKind.DATA_BELL_3, lhs_scaled, rhs_scaled, d.n)

@@ -51,8 +51,22 @@ def sample_pair(
     return cells[idx]
 
 
+# Trials are drawn in slices of this many, so no full-length float64 array
+# is built; Philox random(n) equals its slices' random(m) calls in order.
+_DRAW_SLICE = 1 << 20
+
+
 def _plus_outcomes(n: int, p_plus, rng: np.random.Generator) -> np.ndarray:
-    return np.where(rng.random(n) < p_plus, 1, -1).astype(np.int8)
+    """n int8 outcomes; those in slice s are +1 with probability p_plus(s)."""
+    out = np.empty(n, dtype=np.int8)
+    for lo in range(0, n, _DRAW_SLICE):
+        s = slice(lo, min(n, lo + _DRAW_SLICE))
+        out[s] = np.where(rng.random(s.stop - lo) < p_plus(s), np.int8(1), np.int8(-1))
+    return out
+
+
+def _fair_outcomes(n: int, rng: np.random.Generator) -> np.ndarray:
+    return _plus_outcomes(n, lambda s: 0.5, rng)
 
 
 def _conditional_outcomes(
@@ -60,7 +74,7 @@ def _conditional_outcomes(
 ) -> np.ndarray:
     """Outcomes at a setting d away from a, each drawn given its a-side outcome."""
     s2, c2 = sin2_cos2(k, d)
-    return _plus_outcomes(a.shape[0], np.where(a == 1, s2, c2), rng)
+    return _plus_outcomes(a.shape[0], lambda s: np.where(a[s] == 1, s2, c2), rng)
 
 
 def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSetTriple:
@@ -68,7 +82,7 @@ def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSe
     if n < 1:
         raise ValueError("n must be >= 1")
     k = half_angle_factor(cfg.convention)
-    a = _plus_outcomes(n, 0.5, rng)
+    a = _fair_outcomes(n, rng)
     b = _conditional_outcomes(a, cfg.b - cfg.a, k, rng)
     bp = _conditional_outcomes(a, cfg.bp - cfg.a, k, rng)
     return DataSetTriple(a, b, bp)
@@ -88,9 +102,9 @@ def matched_pairs_estimate(
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
     k = half_angle_factor(cfg.convention)
-    a1 = _plus_outcomes(n_per_arm, 0.5, rng)
+    a1 = _fair_outcomes(n_per_arm, rng)
     b1 = _conditional_outcomes(a1, cfg.b - cfg.a, k, rng)
-    a2 = _plus_outcomes(n_per_arm, 0.5, rng)
+    a2 = _fair_outcomes(n_per_arm, rng)
     b2 = _conditional_outcomes(a2, cfg.bp - cfg.a, k, rng)
     total = 0
     pairs = 0
@@ -105,7 +119,7 @@ def matched_pairs_estimate(
         m = min(i1.size, i2.size)
         sel1 = rng.permutation(i1)[:m]
         sel2 = rng.permutation(i2)[:m]
-        total += int(np.multiply(b1[sel1], b2[sel2], dtype=np.int64).sum())
+        total += int((b1[sel1] * b2[sel2]).sum(dtype=np.int64))
         pairs += m
     return total / pairs
 

@@ -11,7 +11,6 @@ buffering 10^6 rows.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from itertools import repeat
 from typing import IO, Iterator
@@ -101,6 +100,21 @@ def grid_sweep(
     )
 
 
+def _record_rows(
+    resolution: int,
+    convention: AngleConvention,
+    kind: InequalityKind,
+    mode: Mode,
+) -> Iterator[tuple[int, int, list[float], list[float], list[float]]]:
+    """(ia, ib, lhs, rhs, margin) per plane row, the last three as lists over bp."""
+    for ia in range(resolution):
+        lhs, rhs = _margin_planes(ia, resolution, convention, kind, mode)
+        margin = rhs - lhs
+        # one plane row at a time keeps O(R) Python floats alive, not O(R^2)
+        for ib in range(resolution):
+            yield ia, ib, lhs[ib].tolist(), rhs[ib].tolist(), margin[ib].tolist()
+
+
 def iter_records(
     resolution: int,
     convention: AngleConvention,
@@ -109,19 +123,8 @@ def iter_records(
 ) -> Iterator[tuple[float, float, float, float, float, float]]:
     """Stream every grid point as (a, b, bp, lhs, rhs, margin), in (a, b, bp) index order."""
     angles = grid_angles(resolution).tolist()
-    for ia, a in enumerate(angles):
-        lhs, rhs = _margin_planes(ia, resolution, convention, kind, mode)
-        margin = rhs - lhs
-        # one plane row at a time keeps O(R) Python floats alive, not O(R^2)
-        for ib, b in enumerate(angles):
-            yield from zip(
-                repeat(a),
-                repeat(b),
-                angles,
-                lhs[ib].tolist(),
-                rhs[ib].tolist(),
-                margin[ib].tolist(),
-            )
+    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
+        yield from zip(repeat(angles[ia]), repeat(angles[ib]), angles, lhs, rhs, margin)
 
 
 def write_records_csv(
@@ -131,14 +134,20 @@ def write_records_csv(
     kind: InequalityKind,
     mode: Mode,
 ) -> int:
-    """Stream all grid records to `out` as CSV; returns the row count."""
-    writer = csv.writer(out, lineterminator="\n")
-    writer.writerow(SWEEP_CSV_COLUMNS)
-    # the csv module writes floats by repr, so every value round-trips
-    writer.writerows(
-        (a, b, bp, kind.name, mode.name, lhs, rhs, margin)
-        for a, b, bp, lhs, rhs, margin in iter_records(resolution, convention, kind, mode)
-    )
+    """Stream all grid records to `out` as CSV; returns the row count.
+
+    Floats are written by repr, as the csv module writes them, so every
+    value round-trips.
+    """
+    out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    angles = [repr(x) for x in grid_angles(resolution).tolist()]
+    names = f"{kind.name},{mode.name}"
+    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
+        pre = f"{angles[ia]},{angles[ib]},"
+        out.write("".join([
+            f"{pre}{bp},{names},{left!r},{right!r},{gap!r}\n"
+            for bp, left, right, gap in zip(angles, lhs, rhs, margin)
+        ]))
     return resolution**3
 
 

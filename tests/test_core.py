@@ -75,6 +75,14 @@ def test_dataset_rejects_invalid_values(cls):
         cls([1, 2], *[[1, 1]] * (width(cls) - 1))
     with pytest.raises(ValueError, match="only \\+1/-1"):
         cls.from_trials([(1.5,) + (1,) * (width(cls) - 1)])
+    rest = [[1, 1]] * (width(cls) - 1)
+    for bad in ([True, False], [1.0, 1.5], ["1", "-1"], [b"1", b"1"]):
+        with pytest.raises(ValueError, match="only \\+1/-1"):
+            cls(bad, *rest)
+    # True and 1.0 are the outcome +1, as they always were
+    d = cls([True, True], [1.0, -1.0], *rest[1:])
+    assert getattr(d, fields(cls)[0].name).tolist() == [1, 1]
+    assert getattr(d, fields(cls)[1].name).tolist() == [1, -1]
 
 
 @DATA_SETS

@@ -1,0 +1,238 @@
+"""Data files: the chunked reader and the table writer against csv-module references.
+
+`reference_read` is the reader as it was before the fast path: the csv
+module, one cell at a time. For every file, `read_outcome_csv` must return
+the same columns or raise the same exception class at the same line.
+`reference_write` is the csv writer loop that `write_triples_csv` replaced.
+"""
+
+import csv
+from array import array
+from dataclasses import fields
+from unittest import mock
+
+import hypothesis.strategies as st
+import numpy as np
+import pytest
+from hypothesis import given, settings
+
+from bellwigner import DataSetQuad, DataSetTriple, EmptyDataError
+from bellwigner import datafile
+from bellwigner.datafile import (
+    DataParseError,
+    RaggedRowError,
+    read_outcome_csv,
+    write_triples_csv,
+)
+from conftest import trial_rows
+
+HEADERS = {("a", "b", "bp"): DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
+
+
+def reference_parse_cell(text, line):
+    cell = text.strip()
+    if cell in ("+1", "1"):
+        return 1
+    if cell == "-1":
+        return -1
+    raise DataParseError(line, f"invalid outcome cell {text!r} (expected +1, 1 or -1)")
+
+
+def reference_read(path):
+    with open(path, newline="", encoding="utf-8-sig") as fh:
+        reader = csv.reader(fh)
+        try:
+            header = tuple(c.strip().lower() for c in next(reader))
+        except StopIteration:
+            raise DataParseError(1, "empty file, expected a header row") from None
+        if header not in HEADERS:
+            raise DataParseError(1, f"unrecognized header {list(header)!r}")
+        width = len(header)
+        cells = array("b")
+        for line, row in enumerate(reader, start=2):
+            if len(row) != width:
+                if not row:
+                    continue
+                raise RaggedRowError(line, f"expected {width} cells, got {len(row)}")
+            cells.extend([reference_parse_cell(cell, line) for cell in row])
+    if not cells:
+        raise EmptyDataError(f"{path}: no data rows")
+    rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, width)
+    return HEADERS[header].from_trials(rows)
+
+
+def outcome(read, path):
+    try:
+        data = read(str(path))
+    except (ValueError, csv.Error) as exc:
+        return type(exc), getattr(exc, "line", None)
+    return type(data), tuple(getattr(data, f.name).tolist() for f in fields(data))
+
+
+def assert_same_outcome(path, chunk_bytes=None):
+    if chunk_bytes is None:
+        new = outcome(read_outcome_csv, path)
+    else:
+        with mock.patch.object(datafile, "_CHUNK_BYTES", chunk_bytes):
+            new = outcome(read_outcome_csv, path)
+    assert new == outcome(reference_read, path)
+    return new
+
+
+ALPHABET = '+-10, \t\r\n"x\xa0'
+VALID = ("1", "+1", "-1", " 1", "+1 ", " -1 ", "\t+1", "-1\t")
+ODD = ("+ 1", "-\t1", "11", "1 1", "", " ", "+", "+-1", "1+", '"1"', "0", "\xa01", "1\r")
+LINE_ENDS = ("\n", "\n", "\r\n", "\r")
+
+
+@st.composite
+def row_texts(draw, width):
+    """A line's text: mostly `width` well-formed cells, else odd, ragged or blank."""
+    n = draw(st.sampled_from((width, width, width, 0, 1, width - 1, width + 1)))
+    cells = draw(st.lists(st.sampled_from(VALID), min_size=n, max_size=n))
+    for _ in range(draw(st.sampled_from((0, 0, 1, 2))) if n else 0):
+        odd = st.one_of(st.sampled_from(ODD), st.text(ALPHABET, max_size=3))
+        cells[draw(st.integers(0, n - 1))] = draw(odd)
+    return ",".join(cells) if n else draw(st.sampled_from(("", " ", "\t")))
+
+
+@st.composite
+def data_files(draw):
+    header = draw(st.sampled_from(("a,b,bp", "a,ap,b,bp", "A, B ,bp", 'a,"b",bp')))
+    width = len(header.split(","))
+    lines = draw(st.lists(st.tuples(row_texts(width), st.sampled_from(LINE_ENDS)), max_size=12))
+    body = "".join(text + end for text, end in lines)
+    if draw(st.integers(0, 7)) == 0:
+        body = draw(st.text(ALPHABET, max_size=40))
+    elif lines and draw(st.booleans()):
+        body = body.rstrip("\r\n")  # last line without its line end
+    bom = "\ufeff" if draw(st.booleans()) else ""
+    return (bom + header + draw(st.sampled_from(LINE_ENDS)) + body).encode()
+
+
+@pytest.fixture(scope="module")
+def data_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("reader") / "data.csv"
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=data_files(), chunk_bytes=st.integers(1, 24))
+def test_reader_matches_csv_reference(data_path, content, chunk_bytes):
+    data_path.write_bytes(content)
+    assert_same_outcome(data_path, chunk_bytes)
+    assert_same_outcome(data_path)
+
+
+BODY = "+1,-1,+1\n" * 4 + " 1,\t-1 ,+1\r\n" + "-1,-1,-1\n" * 4
+
+
+@pytest.mark.parametrize(
+    "bad, error",
+    [("+1,0,+1\n", DataParseError), ("+1,-1\n", RaggedRowError)],
+    ids=["bad-cell", "ragged-row"],
+)
+def test_error_in_third_chunk_reports_its_line(tmp_path, bad, error):
+    # 9-byte rows and 20-byte reads: chunk k holds data lines 2k and 2k+1
+    path = tmp_path / "d.csv"
+    rows = ["+1,-1,+1\n"] * 8
+    rows[5] = bad  # line 7, the second line of the third chunk
+    path.write_text("a,b,bp\n" + "".join(rows))
+    handed_over = []
+    reference = datafile._extend_from_csv
+
+    def spy(rows, width, cells, first_line):
+        handed_over.append((first_line, len(cells)))
+        return reference(rows, width, cells, first_line)
+
+    with mock.patch.object(datafile, "_CHUNK_BYTES", 20), mock.patch.object(datafile, "_extend_from_csv", spy):
+        with pytest.raises(error) as info:
+            read_outcome_csv(str(path))
+    assert info.value.line == 7
+    assert handed_over == [(6, 12)]  # two fast chunks, then the csv loop from line 6
+    assert assert_same_outcome(path, 20) == (error, 7)
+
+
+@pytest.mark.parametrize("chunk_bytes", [1, 7, 9, 10, 1 << 16])
+def test_fast_grammar_never_reaches_csv_loop(tmp_path, chunk_bytes):
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"\xef\xbb\xbfa,b,bp\r\n" + BODY.encode() + b"\n\r\n-1, 1,1")
+    with mock.patch.object(datafile, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(
+        datafile, "_extend_from_csv", side_effect=AssertionError("csv loop used")
+    ):
+        data = read_outcome_csv(str(path))
+    assert data.n == 10
+    assert data.a.tolist() == [1] * 4 + [1] + [-1] * 4 + [-1]
+    assert data.b.tolist() == [-1] * 4 + [-1] + [-1] * 4 + [1]
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        b'a,b,bp\n"+1",-1,+1\n' + BODY.encode(),  # quoted cell
+        b'"a",b,bp\n' + BODY.encode(),  # quoted header: the whole file goes to csv
+        b'"a\n",b,bp\n' + BODY.encode(),  # a quoted header cell spanning two lines
+        b"a,b,bp\n" + BODY.encode() + b"+1,-1,+1\r-1,-1,-1\n",  # lone \r ends a row
+        b"a,b,bp\n+1,\xc2\xa0-1,+1\n",  # Unicode blank, stripped by the csv path
+        b"a,b,bp\n" + BODY.encode() + b"+1,\x00,+1\n",  # NUL
+        b"a,b,bp\n" + BODY.encode() + b"+1,\xff,+1\n",  # not UTF-8
+        b"a,b,bp\n" + BODY.encode() + b" \n",  # a line of blanks is ragged
+        b"a,b,bp\n1" + b" " * 200_000 + b",1,1\n",  # a cell over the csv field limit
+        b"a,b,bp",
+        b"a,b,bp\n\n\r\n",
+        b"",
+        b"\xef\xbb\xbf",
+    ],
+    ids=[
+        "quoted-cell", "quoted-header", "two-line-header", "lone-cr", "nbsp", "nul", "bad-utf8",
+        "blank-line-of-spaces", "field-limit", "header-only", "blank-lines-only",
+        "empty", "bom-only",
+    ],
+)
+def test_unusual_files_match_reference(tmp_path, content):
+    path = tmp_path / "d.csv"
+    path.write_bytes(content)
+    for chunk_bytes in (None, 5):
+        assert_same_outcome(path, chunk_bytes)
+
+
+@pytest.mark.parametrize(
+    "lines",
+    [
+        ",1,1,1\n",  # empty first cell
+        "1,1,1\n,1,1,1\n",  # empty first cell after a row
+        "1,,1,1\n",  # empty middle cell
+        "1,1,\n1\n",  # empty last cell, then a short row
+        "1\n1,1\n",  # two short rows that add up to one
+        "+1,+-1,1\n",  # sign before a sign
+        "1,1,1+\n",  # sign after a cell
+        "1,1,11\n",  # two cells run together
+        "1, 1 1,1\n",  # blank inside a cell
+        "+\t1,1,1\n",  # tab after a sign
+        "1,1,1\n\t\r\n",  # line of blanks before CRLF
+        "1,1,1\r\r\n",  # \r not before \n: a row, then a blank line
+    ],
+)
+def test_near_miss_rows_match_reference(tmp_path, lines):
+    path = tmp_path / "d.csv"
+    path.write_text("a,b,bp\n" + "1,1,1\n" * 3 + lines + "1,1,1\n", newline="")
+    for chunk_bytes in (None, 6, 7):
+        assert_same_outcome(path, chunk_bytes)
+
+
+def reference_write(path, data):
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(("a", "b", "bp"))
+        for row in zip(data.a.tolist(), data.b.tolist(), data.bp.tolist()):
+            writer.writerow([{1: "+1", -1: "-1"}[v] for v in row])
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(trial_rows, min_size=1, max_size=40), slice_rows=st.integers(1, 9))
+def test_writer_matches_csv_writer(tmp_path_factory, rows, slice_rows):
+    out = tmp_path_factory.mktemp("writer")
+    data = DataSetTriple.from_trials(rows)
+    reference_write(out / "reference.csv", data)
+    with mock.patch.object(datafile, "_WRITE_ROWS", slice_rows):
+        write_triples_csv(str(out / "table.csv"), data)
+    assert (out / "table.csv").read_bytes() == (out / "reference.csv").read_bytes()

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 import hypothesis.strategies as st
 
+from bellwigner import sampler
 from bellwigner import (
     AngleConfig,
     AngleConvention,
@@ -162,3 +163,15 @@ def test_convergence_study_validates_n_list():
         convergence_study(CFG, [100, 100], seed=1)
     with pytest.raises(ValueError):
         convergence_study(CFG, [1000, 10], seed=1)
+
+
+def test_draws_do_not_depend_on_slice_size(monkeypatch):
+    # Philox random(n) equals its slices' random(m) calls, so slicing the
+    # draws leaves every seeded output as it was
+    whole = sample_dataset(CFG, 1000, make_rng(5))
+    estimate = matched_pairs_estimate(CFG, 1000, make_rng(5))
+    monkeypatch.setattr(sampler, "_DRAW_SLICE", 7)
+    sliced = sample_dataset(CFG, 1000, make_rng(5))
+    for name in ("a", "b", "bp"):
+        assert np.array_equal(getattr(sliced, name), getattr(whole, name))
+    assert matched_pairs_estimate(CFG, 1000, make_rng(5)) == estimate
