@@ -44,7 +44,10 @@ def as_outcome(value) -> int:
 
 
 def outcome_array(values) -> np.ndarray:
-    """Validate a sequence of outcomes and return it as a 1-D int8 array."""
+    """Validate a sequence of outcomes and return it as a 1-D int8 array.
+
+    An int8 array is returned as is, not copied.
+    """
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D outcome sequence, got shape {arr.shape}")
@@ -52,7 +55,7 @@ def outcome_array(values) -> np.ndarray:
     if not valid.all():
         bad = arr[~valid][0]
         raise ValueError(f"outcome sequence contains value {bad!r}, only +1/-1 allowed")
-    return arr.astype(np.int8)
+    return arr.astype(np.int8, copy=False)
 
 
 @dataclass(frozen=True)
@@ -67,7 +70,12 @@ class _OutcomeColumns:
         names = [f.name for f in fields(self)]
         cols = []
         for name in names:
-            arr = outcome_array(getattr(self, name))
+            value = getattr(self, name)
+            arr = outcome_array(value)
+            # a column the caller could still write to is copied, so freezing
+            # it never freezes the caller's array; a read-only one is kept
+            if arr.flags.writeable and (arr is value or not arr.flags.owndata):
+                arr = arr.copy()
             arr.setflags(write=False)
             cols.append(arr)
             object.__setattr__(self, name, arr)

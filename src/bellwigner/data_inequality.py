@@ -99,15 +99,16 @@ def _triple_sums(d: DataSetTriple) -> tuple[int, int, int]:
     return sab, sabp, sbbp
 
 
+def _margin_3_from_sums(sab: int, sabp: int, sbbp: int, n: int) -> InequalityReport:
+    return _exact_report(InequalityKind.DATA_BELL_3, abs(sab - sabp), n - sbbp, n)
+
+
 def data_bell_margin_3(d: DataSetTriple) -> InequalityReport:
     """Exact three-set inequality |C(a,b) - C(a,b')| <= 1 - C(b,b').
 
     The margin is >= 0 for every data set of any length and content.
     """
-    sab, sabp, sbbp = _triple_sums(d)
-    lhs_scaled = abs(sab - sabp)
-    rhs_scaled = d.n - sbbp
-    return _exact_report(InequalityKind.DATA_BELL_3, lhs_scaled, rhs_scaled, d.n)
+    return _margin_3_from_sums(*_triple_sums(d), d.n)
 
 
 def data_bell_margin_3_flipped(d: DataSetTriple) -> InequalityReport:

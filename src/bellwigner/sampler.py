@@ -11,17 +11,24 @@ Randomness comes from numpy's Philox bit generator: counter-based, keyed by
 a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
+
+Draws are filled in slices, on one thread per usable CPU: each slice comes
+from a copy of the generator's Philox state jumped ahead by counter to the
+slice's first draw, so the outputs are bit-identical to serial drawing for
+any CPU count. A generator that is not Philox draws serially.
 """
 
 from __future__ import annotations
 
+import os
+import threading
 from typing import Sequence
 
 import numpy as np
 
 from .analytic import half_angle_factor, joint_probability, sin2_cos2, third_correlation
 from .core import AngleConfig, AngleConvention, ConvergenceRecord, DataSetTriple
-from .data_inequality import cross_correlation, data_bell_margin_3
+from .data_inequality import ExactCorrelation, _margin_3_from_sums, _triple_sums
 
 
 class InsufficientMatchesError(RuntimeError):
@@ -52,21 +59,111 @@ def sample_pair(
 
 
 # Trials are drawn in slices of this many, so no full-length float64 array
-# is built; Philox random(n) equals its slices' random(m) calls in order.
-_DRAW_SLICE = 1 << 20
+# is built. With several threads, each holds one slice of uniforms at a time.
+_DRAW_SLICE = 1 << 19
 
 
-def _plus_outcomes(n: int, p_plus, rng: np.random.Generator) -> np.ndarray:
-    """n int8 outcomes; those in slice s are +1 with probability p_plus(s)."""
+def _usable_cpus() -> int:
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:
+        return os.cpu_count() or 1
+
+
+# Threads that fill draw slices; one means every draw is made serially.
+_THREADS = _usable_cpus()
+
+
+def _philox_at(state: dict, skip: int) -> np.random.Philox:
+    """A Philox generator at ``state`` moved on by ``skip`` 64-bit draws.
+
+    ``advance(q)`` moves the counter by q blocks of four draws and empties
+    the buffer, so the draws left in the buffer are taken first and the
+    remainder past the last whole block is drawn.
+    """
+    bg = np.random.Philox()
+    bg.state = state
+    head = min(skip, 4 - state["buffer_pos"])
+    bg.random_raw(head)
+    blocks, rest = divmod(skip - head, 4)
+    if blocks:
+        bg.advance(blocks)
+    bg.random_raw(rest)
+    return bg
+
+
+def _run_threads(work, count: int) -> None:
+    """Run ``work(t)`` for t in range(count) on threads; re-raise the first error."""
+    errors = []
+
+    def guarded(t: int) -> None:
+        try:
+            work(t)
+        except Exception as exc:  # handed to the calling thread
+            errors.append(exc)
+
+    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in range(count)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join()
+    if errors:
+        raise errors[0]
+
+
+def _plus_outcomes(
+    n: int,
+    rng: np.random.Generator,
+    p: float,
+    a: np.ndarray | None = None,
+    p_a_plus: float = 0.0,
+) -> np.ndarray:
+    """n read-only int8 outcomes, +1 with probability p (p_a_plus where a = +1).
+
+    Trial i is +1 when the i-th uniform of ``rng`` is below its probability,
+    so the result is the same for any slice size or thread count. A Philox
+    ``rng`` has its slices drawn on threads, each from a copy of the state
+    skipped ahead to the slice; ``rng`` is then left n draws on, as serial
+    drawing would leave it. Other generators draw serially.
+    """
     out = np.empty(n, dtype=np.int8)
-    for lo in range(0, n, _DRAW_SLICE):
-        s = slice(lo, min(n, lo + _DRAW_SLICE))
-        out[s] = np.where(rng.random(s.stop - lo) < p_plus(s), np.int8(1), np.int8(-1))
+    plus = out.view(np.bool_)
+
+    def fill(lo: int, draw, u: np.ndarray) -> None:
+        hi = min(n, lo + _DRAW_SLICE)
+        u = draw(out=u[: hi - lo])
+        np.less(u, p, out=plus[lo:hi])
+        if a is not None:
+            np.less(u, p_a_plus, out=plus[lo:hi], where=a[lo:hi] == 1)
+        o = out[lo:hi]
+        o += o
+        o -= 1
+
+    starts = range(0, n, _DRAW_SLICE)
+    count = min(_THREADS, len(starts))
+    bg = rng.bit_generator
+    if count < 2 or not isinstance(bg, np.random.Philox):
+        u = np.empty(min(n, _DRAW_SLICE))
+        for lo in starts:
+            fill(lo, rng.random, u)
+    else:
+        state = bg.state
+
+        def work(t: int) -> None:
+            u = np.empty(_DRAW_SLICE)
+            for lo in starts[t::count]:
+                fill(lo, np.random.Generator(_philox_at(state, lo)).random, u)
+
+        _run_threads(work, count)
+        end = _philox_at(state, n).state
+        end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+        bg.state = end
+    out.setflags(write=False)
     return out
 
 
 def _fair_outcomes(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _plus_outcomes(n, lambda s: 0.5, rng)
+    return _plus_outcomes(n, rng, 0.5)
 
 
 def _conditional_outcomes(
@@ -74,7 +171,7 @@ def _conditional_outcomes(
 ) -> np.ndarray:
     """Outcomes at a setting d away from a, each drawn given its a-side outcome."""
     s2, c2 = sin2_cos2(k, d)
-    return _plus_outcomes(a.shape[0], lambda s: np.where(a[s] == 1, s2, c2), rng)
+    return _plus_outcomes(a.shape[0], rng, c2, a, s2)
 
 
 def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSetTriple:
@@ -142,9 +239,9 @@ def convergence_study(
     for stream, n in enumerate(n_list):
         rng = make_rng(seed, stream=stream)
         data = sample_dataset(cfg, n, rng)
-        report = data_bell_margin_3(data)
-        if not report.satisfied:
+        sab, sabp, sbbp = _triple_sums(data)
+        if not _margin_3_from_sums(sab, sabp, sbbp, n).satisfied:
             raise RuntimeError("sampled data set failed the exact data identity")
-        estimate = cross_correlation(data.b, data.bp).value
+        estimate = ExactCorrelation(sbbp, n).value
         records.append(ConvergenceRecord.from_estimate(n, estimate, target, seed))
     return records

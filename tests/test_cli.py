@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -294,3 +298,19 @@ def test_convergence_rejects_bad_n_list(capsys):
     rc, _, err = run(capsys, "convergence", "--n-list", "10,abc")
     assert rc == 2
     assert "--n-list" in err
+
+
+def test_cli_import_pulls_in_no_heavy_modules():
+    # every command pays for what importing the CLI loads: concurrent.futures
+    # alone adds ~0.7 MB to each command's peak RSS
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    code = (
+        "import bellwigner.cli, sys; "
+        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

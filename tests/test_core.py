@@ -93,6 +93,25 @@ def test_dataset_columns_are_read_only(cls):
             getattr(d, f.name)[0] = -1
 
 
+def test_dataset_copies_a_writeable_int8_column():
+    # the caller's array is neither frozen nor shared with the column
+    mine = np.array([1, -1, 1], dtype=np.int8)
+    d = DataSetTriple(mine, mine[::-1], [1, 1, 1])
+    assert mine.flags.writeable
+    assert not np.shares_memory(mine, d.a)
+    assert not np.shares_memory(mine, d.b)
+    mine[0] = -1
+    assert d.a.tolist() == [1, -1, 1]
+    assert d.b.tolist() == [1, -1, 1]
+
+
+def test_dataset_keeps_a_read_only_int8_column():
+    col = np.array([1, -1], dtype=np.int8)
+    col.setflags(write=False)
+    d = DataSetTriple(col, col, col)
+    assert d.a is col
+
+
 @DATA_SETS
 def test_dataset_from_trials_rejects_wrong_width(cls):
     for bad in (width(cls) - 1, width(cls) + 1):

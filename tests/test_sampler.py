@@ -1,5 +1,7 @@
 import math
+import sys
 from collections import Counter
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bellwigner import sampler
+from bellwigner.sampler import _usable_cpus
 from bellwigner import (
     AngleConfig,
     AngleConvention,
@@ -175,3 +178,97 @@ def test_draws_do_not_depend_on_slice_size(monkeypatch):
     for name in ("a", "b", "bp"):
         assert np.array_equal(getattr(sliced, name), getattr(whole, name))
     assert matched_pairs_estimate(CFG, 1000, make_rng(5)) == estimate
+
+
+def test_sampled_columns_are_not_copied():
+    # the sampler hands its drawn arrays over read-only, so the data set
+    # keeps them rather than a second copy
+    drawn = []
+    real = sampler._plus_outcomes
+
+    def recording(*args):
+        drawn.append(real(*args))
+        return drawn[-1]
+
+    with mock.patch.object(sampler, "_plus_outcomes", recording):
+        data = sample_dataset(CFG, 100, make_rng(2))
+    for out, col in zip(drawn, (data.a, data.b, data.bp), strict=True):
+        assert np.shares_memory(out, col)
+
+
+def _serial_plus_outcomes(n, rng, p, a=None, p_a_plus=0.0):
+    # the serial slice loop the threaded sampler replaced, kept as its reference
+    out = np.empty(n, dtype=np.int8)
+    for lo in range(0, n, 1 << 20):
+        s = slice(lo, min(n, lo + (1 << 20)))
+        p_plus = p if a is None else np.where(a[s] == 1, p_a_plus, p)
+        out[s] = np.where(rng.random(s.stop - lo) < p_plus, np.int8(1), np.int8(-1))
+    return out
+
+
+def _draws(cfg, n, rng):
+    """sample_dataset columns, matched_pairs_estimate and the next draws, in order."""
+    data = sample_dataset(cfg, n, rng)
+    try:
+        estimate = matched_pairs_estimate(cfg, n, rng)
+    except InsufficientMatchesError:
+        estimate = None
+    after = (rng.integers(1 << 30, size=8, dtype=np.uint32).tolist(), rng.random(8).tolist())
+    return [c.tolist() for c in (data.a, data.b, data.bp)], estimate, after
+
+
+def _prepared(rng, pre, half):
+    # pre doubles move Philox's 4-draw buffer to every position; a 32-bit
+    # draw leaves half a 64-bit draw pending
+    rng.random(pre)
+    if half:
+        rng.integers(10, dtype=np.uint32)
+    return rng
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    n=st.integers(1, 60),
+    draw_slice=st.integers(1, 9),
+    extra_threads=st.integers(1, 6),
+    pre=st.integers(0, 3),
+    half=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    convention=st.sampled_from(AngleConvention),
+)
+def test_threaded_draws_match_serial_reference(
+    n, draw_slice, extra_threads, pre, half, seed, convention
+):
+    # more threads than CPUs, each filling many tiny slices, switching often
+    cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
+    with mock.patch.object(sampler, "_plus_outcomes", _serial_plus_outcomes):
+        expected = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(
+            sampler, _DRAW_SLICE=draw_slice, _THREADS=_usable_cpus() + extra_threads
+        ):
+            got = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_non_philox_generator_draws_serially():
+    def pcg():
+        return np.random.Generator(np.random.PCG64(5))
+
+    with mock.patch.object(sampler, "_plus_outcomes", _serial_plus_outcomes):
+        expected = _draws(CFG, 50, pcg())
+    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
+        assert _draws(CFG, 50, pcg()) == expected
+
+
+def test_thread_errors_reach_the_caller():
+    def work(t):
+        if t == 1:
+            raise MemoryError("slice 1")
+
+    with pytest.raises(MemoryError, match="slice 1"):
+        sampler._run_threads(work, 3)
