@@ -46,7 +46,6 @@ from .sampler import (
     make_rng,
     matched_pairs_estimate,
     sample_dataset,
-    sample_pair,
 )
 from .sweep import (
     VIOLATION_THRESHOLD,

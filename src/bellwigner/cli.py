@@ -34,7 +34,9 @@ from .core import (
     Mode,
 )
 from .data_inequality import (
-    cross_correlation,
+    ExactCorrelation,
+    _margin_3_from_sums,
+    _triple_sums,
     data_bell_margin_3,
     data_bell_margin_4,
 )
@@ -89,7 +91,9 @@ def cmd_simulate(args) -> int:
     rng = make_rng(args.seed)
     data = sample_dataset(cfg, args.n, rng)
     write_triples_csv(args.out, data)
-    report = data_bell_margin_3(data)
+    sums = _triple_sums(data)
+    report = _margin_3_from_sums(*sums, args.n)
+    c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in sums)
     summary = {
         "command": "simulate",
         "n": args.n,
@@ -98,9 +102,9 @@ def cmd_simulate(args) -> int:
         "convention": cfg.convention.name,
         "out": args.out,
         "estimates": {
-            "c_ab": cross_correlation(data.a, data.b).value,
-            "c_abp": cross_correlation(data.a, data.bp).value,
-            "c_bbp": cross_correlation(data.b, data.bp).value,
+            "c_ab": c_ab,
+            "c_abp": c_abp,
+            "c_bbp": c_bbp,
         },
         "analytic": {
             "c_ab": bell_correlation(cfg.a, cfg.b, cfg.convention),

@@ -16,6 +16,11 @@ Draws are filled in slices, on one thread per usable CPU: each slice comes
 from a copy of the generator's Philox state jumped ahead by counter to the
 slice's first draw, so the outputs are bit-identical to serial drawing for
 any CPU count. A generator that is not Philox draws serially.
+
+The convergence study needs only the exact sums of each sample, so it
+keeps no columns: its threads jump to each slice's draws in all three
+columns, fold the slice into the sums and reuse their buffers, so its
+memory does not grow with the sample count.
 """
 
 from __future__ import annotations
@@ -26,8 +31,8 @@ from typing import Sequence
 
 import numpy as np
 
-from .analytic import half_angle_factor, joint_probability, sin2_cos2, third_correlation
-from .core import AngleConfig, AngleConvention, ConvergenceRecord, DataSetTriple
+from .analytic import half_angle_factor, sin2_cos2, third_correlation
+from .core import AngleConfig, ConvergenceRecord, DataSetTriple
 from .data_inequality import ExactCorrelation, _margin_3_from_sums, _triple_sums
 
 
@@ -43,19 +48,6 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
         raise ValueError("stream must be a non-negative integer")
     ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
-
-
-def sample_pair(
-    x: float,
-    y: float,
-    convention: AngleConvention,
-    rng: np.random.Generator,
-) -> tuple[int, int]:
-    """Draw one entangled-pair outcome pair from the four-cell distribution."""
-    jp = joint_probability(x, y, convention)
-    cells = ((1, 1), (1, -1), (-1, 1), (-1, -1))
-    idx = rng.choice(4, p=(jp.pp, jp.pm, jp.mp, jp.mm))
-    return cells[idx]
 
 
 # Trials are drawn in slices of this many, so no full-length float64 array
@@ -93,7 +85,13 @@ def _philox_at(state: dict, skip: int) -> np.random.Philox:
 
 
 def _run_threads(work, count: int) -> None:
-    """Run ``work(t)`` for t in range(count) on threads; re-raise the first error."""
+    """Run ``work(t)`` for t in range(count) on threads; re-raise the first error.
+
+    A count of one runs on the calling thread.
+    """
+    if count == 1:
+        work(0)
+        return
     errors = []
 
     def guarded(t: int) -> None:
@@ -109,6 +107,41 @@ def _run_threads(work, count: int) -> None:
         thread.join()
     if errors:
         raise errors[0]
+
+
+def _random_at(state: dict, skip: int):
+    """``random`` of a Generator at Philox ``state`` moved on by ``skip`` draws."""
+    return np.random.Generator(_philox_at(state, skip)).random
+
+
+def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
+    """Set ``bg`` to ``state`` moved on by ``skip`` draws, as serial drawing would.
+
+    The pending 32-bit half of a draw is kept, so a later 32-bit draw takes
+    it just as it would have without the jump.
+    """
+    end = _philox_at(state, skip).state
+    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
+    bg.state = end
+
+
+def _fill_plus(
+    draw,
+    u: np.ndarray,
+    plus: np.ndarray,
+    p: float,
+    a_plus: np.ndarray | None = None,
+    p_a_plus: float = 0.0,
+) -> None:
+    """Draw ``u`` and set ``plus`` to u < p, or u < p_a_plus where ``a_plus``.
+
+    The one per-slice sampling step: every sampled outcome is +1 exactly
+    where this sets ``plus``.
+    """
+    draw(out=u)
+    np.less(u, p, out=plus)
+    if a_plus is not None:
+        np.less(u, p_a_plus, out=plus, where=a_plus)
 
 
 def _plus_outcomes(
@@ -131,10 +164,8 @@ def _plus_outcomes(
 
     def fill(lo: int, draw, u: np.ndarray) -> None:
         hi = min(n, lo + _DRAW_SLICE)
-        u = draw(out=u[: hi - lo])
-        np.less(u, p, out=plus[lo:hi])
-        if a is not None:
-            np.less(u, p_a_plus, out=plus[lo:hi], where=a[lo:hi] == 1)
+        a_plus = None if a is None else a[lo:hi] == 1
+        _fill_plus(draw, u[: hi - lo], plus[lo:hi], p, a_plus, p_a_plus)
         o = out[lo:hi]
         o += o
         o -= 1
@@ -152,12 +183,10 @@ def _plus_outcomes(
         def work(t: int) -> None:
             u = np.empty(_DRAW_SLICE)
             for lo in starts[t::count]:
-                fill(lo, np.random.Generator(_philox_at(state, lo)).random, u)
+                fill(lo, _random_at(state, lo), u)
 
         _run_threads(work, count)
-        end = _philox_at(state, n).state
-        end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
-        bg.state = end
+        _leave_at(bg, state, n)
     out.setflags(write=False)
     return out
 
@@ -183,6 +212,51 @@ def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSe
     b = _conditional_outcomes(a, cfg.b - cfg.a, k, rng)
     bp = _conditional_outcomes(a, cfg.bp - cfg.a, k, rng)
     return DataSetTriple(a, b, bp)
+
+
+def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, without its columns.
+
+    Trial slices are drawn and folded into the sums one at a time, on
+    threads. In sample_dataset's draw order the slice at trial lo starts at
+    draw lo for a, n + lo for b and 2n + lo for b', so each thread reaches
+    its slices by jump-ahead and holds one slice of buffers at any n.
+    ``rng`` is then left 3n draws on. A generator that is not Philox cannot
+    jump ahead, so it draws whole columns.
+    """
+    if n < 1:
+        raise ValueError("n must be >= 1")
+    bg = rng.bit_generator
+    if not isinstance(bg, np.random.Philox):
+        return _triple_sums(sample_dataset(cfg, n, rng))
+    k = half_angle_factor(cfg.convention)
+    s2b, c2b = sin2_cos2(k, cfg.b - cfg.a)
+    s2p, c2p = sin2_cos2(k, cfg.bp - cfg.a)
+    state = bg.state
+    starts = range(0, n, _DRAW_SLICE)
+    count = min(_THREADS, len(starts))
+    sums = [None] * count
+
+    def work(t: int) -> None:
+        size = min(n, _DRAW_SLICE)
+        u = np.empty(size)
+        a, b, bp = (np.empty(size, dtype=np.bool_) for _ in range(3))
+        sab = sabp = sbbp = 0
+        for lo in starts[t::count]:
+            m = min(n - lo, _DRAW_SLICE)
+            am, bm, bpm = a[:m], b[:m], bp[:m]
+            _fill_plus(_random_at(state, lo), u[:m], am, 0.5)
+            _fill_plus(_random_at(state, n + lo), u[:m], bm, c2b, am, s2b)
+            _fill_plus(_random_at(state, 2 * n + lo), u[:m], bpm, c2p, am, s2p)
+            # a product of two +-1 outcomes is +1 where they agree
+            sab += 2 * int(np.count_nonzero(am == bm)) - m
+            sabp += 2 * int(np.count_nonzero(am == bpm)) - m
+            sbbp += 2 * int(np.count_nonzero(bm == bpm)) - m
+        sums[t] = (sab, sabp, sbbp)
+
+    _run_threads(work, count)
+    _leave_at(bg, state, 3 * n)
+    return tuple(sum(column) for column in zip(*sums))
 
 
 def matched_pairs_estimate(
@@ -237,9 +311,7 @@ def convergence_study(
     target = third_correlation(cfg)
     records = []
     for stream, n in enumerate(n_list):
-        rng = make_rng(seed, stream=stream)
-        data = sample_dataset(cfg, n, rng)
-        sab, sabp, sbbp = _triple_sums(data)
+        sab, sabp, sbbp = _sample_sums(cfg, n, make_rng(seed, stream=stream))
         if not _margin_3_from_sums(sab, sabp, sbbp, n).satisfied:
             raise RuntimeError("sampled data set failed the exact data identity")
         estimate = ExactCorrelation(sbbp, n).value

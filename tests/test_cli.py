@@ -281,9 +281,8 @@ def test_convergence_json_output(tmp_path, capsys):
     [
         ["sweep", "--resolution", "2000000"],
         ["simulate", "--n", "100000000000000", "--out", "unused.csv"],
-        ["convergence", "--n-list", "100000000000000"],
     ],
-    ids=["sweep", "simulate", "convergence"],
+    ids=["sweep", "simulate"],
 )
 def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv):
     # each size fails at its first allocation, so nothing large is ever touched

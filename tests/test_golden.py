@@ -44,6 +44,24 @@ def test_simulate_file_bytes(tmp_path, capsys):
     assert sha256(out) == "2f388b838b97403c239395d16b1e34731f824281092ad13ea0f484abaf375dc0"
 
 
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "f31db8f693fef61cb0960f43130f89412dd1bf3a1f97f5d13668279756efa721"),
+        (["--convention", "optical", "--format", "json"],
+         "b0f0ffb25ff1987119402bb2dd9e72f653769adc9451227e5b25ff146b79767e"),
+    ],
+    ids=["csv", "optical-json"],
+)
+def test_convergence_output_bytes(tmp_path, capsys, extra, digest):
+    # the sample counts fall on both sides of the 2**19-trial draw slice
+    out = tmp_path / "convergence.out"
+    argv = ["convergence", "--n-list", "1,524287,524288,1048577,3000001", "--seed", "1"]
+    assert main(argv + extra + ["--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sha256(out) == digest
+
+
 def test_matched_pairs_value():
     value = matched_pairs_estimate(MC_CONFIG, 10**4, make_rng(42, stream=1))
     assert value == -0.26189042745334135

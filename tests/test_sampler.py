@@ -1,6 +1,6 @@
 import math
 import sys
-from collections import Counter
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bellwigner import sampler
+from bellwigner.data_inequality import _triple_sums
 from bellwigner.sampler import _usable_cpus
 from bellwigner import (
     AngleConfig,
@@ -20,11 +21,9 @@ from bellwigner import (
     make_rng,
     matched_pairs_estimate,
     sample_dataset,
-    sample_pair,
     third_correlation,
 )
 
-SPIN = AngleConvention.SPIN
 CFG = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3)
 ALIGNED = AngleConfig(0.0, 0.0, 0.0)
 
@@ -41,25 +40,27 @@ def test_make_rng_is_reproducible_and_stream_separated():
         make_rng(1, stream=-1)
 
 
-def test_sample_pair_same_setting_always_opposite():
-    rng = make_rng(0)
-    for _ in range(200):
-        x, y = sample_pair(0.0, 0.0, SPIN, rng)
-        assert x == -y
+def _ab_pairs(x, y, n, seed):
+    # the (a, b) columns of a data set are outcome pairs measured at (x, y)
+    data = sample_dataset(AngleConfig(x, y, x), n, make_rng(seed))
+    return data.a, data.b
 
 
-def test_sample_pair_opposite_setting_always_equal():
-    rng = make_rng(0)
-    for _ in range(200):
-        x, y = sample_pair(0.0, math.pi, SPIN, rng)
-        assert x == y
+def test_sampled_pairs_same_setting_always_opposite():
+    a, b = _ab_pairs(0.0, 0.0, 200, 0)
+    assert np.array_equal(a, -b)
 
 
-def test_sample_pair_quarter_cell_frequencies():
-    rng = make_rng(7)
-    counts = Counter(sample_pair(0.0, math.pi / 2, SPIN, rng) for _ in range(20000))
-    for cell in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
-        assert counts[cell] / 20000 == pytest.approx(0.25, abs=0.02)
+def test_sampled_pairs_opposite_setting_always_equal():
+    a, b = _ab_pairs(0.0, math.pi, 200, 0)
+    assert np.array_equal(a, b)
+
+
+def test_sampled_pairs_quarter_cell_frequencies():
+    a, b = _ab_pairs(0.0, math.pi / 2, 20000, 7)
+    for x in (1, -1):
+        for y in (1, -1):
+            assert np.mean((a == x) & (b == y)) == pytest.approx(0.25, abs=0.02)
 
 
 def test_sample_dataset_aligned_settings():
@@ -79,6 +80,8 @@ def test_sample_dataset_is_deterministic():
 def test_sample_dataset_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         sample_dataset(CFG, 0, make_rng(1))
+    with pytest.raises(ValueError):
+        sampler._sample_sums(CFG, 0, make_rng(1))
 
 
 def test_sample_dataset_marginals_converge():
@@ -272,3 +275,62 @@ def test_thread_errors_reach_the_caller():
 
     with pytest.raises(MemoryError, match="slice 1"):
         sampler._run_threads(work, 3)
+
+
+def _sums_and_after(sums, rng):
+    return sums, rng.integers(1 << 30, size=8, dtype=np.uint32).tolist(), rng.random(8).tolist()
+
+
+@settings(max_examples=200, deadline=2000)
+@given(
+    n=st.integers(1, 60),
+    draw_slice=st.integers(1, 9),
+    threads=st.integers(1, 6),
+    pre=st.integers(0, 3),
+    half=st.booleans(),
+    seed=st.integers(0, 2**32 - 1),
+    convention=st.sampled_from(AngleConvention),
+)
+def test_streamed_sums_match_column_reference(
+    n, draw_slice, threads, pre, half, seed, convention
+):
+    # slices end inside each column and threads switch often, yet the sums
+    # and the generator's later draws are those of the whole columns
+    cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
+    rng = _prepared(make_rng(seed), pre, half)
+    expected = _sums_and_after(_triple_sums(sample_dataset(cfg, n, rng)), rng)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with mock.patch.multiple(sampler, _DRAW_SLICE=draw_slice, _THREADS=threads):
+            rng = _prepared(make_rng(seed), pre, half)
+            got = _sums_and_after(sampler._sample_sums(cfg, n, rng), rng)
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == expected
+
+
+def test_streamed_sums_of_a_non_philox_generator_are_drawn_serially():
+    def pcg():
+        return np.random.Generator(np.random.PCG64(5))
+
+    rng = pcg()
+    expected = _sums_and_after(_triple_sums(sample_dataset(CFG, 50, rng)), rng)
+    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
+        rng = pcg()
+        assert _sums_and_after(sampler._sample_sums(CFG, 50, rng), rng) == expected
+
+
+def test_convergence_memory_does_not_grow_with_n():
+    # whole int8 columns would take 6 MB at n = 2e6 and 12 MB at 4e6; the
+    # streamed sums hold a few slices per thread at any n
+    with mock.patch.multiple(sampler, _DRAW_SLICE=1 << 12, _THREADS=4):
+        convergence_study(CFG, [10_000], seed=3)  # warm-up
+        for n in (2_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                convergence_study(CFG, [n], seed=3)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak < 2 * 2**20, (n, peak)
