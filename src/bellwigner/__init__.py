@@ -34,9 +34,9 @@ from .core import (
 )
 from .data_inequality import (
     ExactCorrelation,
+    PatternCounts,
     cross_correlation,
     data_bell_margin_3,
-    data_bell_margin_3_flipped,
     data_bell_margin_4,
     quad_brackets,
 )

@@ -26,8 +26,6 @@ from .analytic import (
 from .core import (
     AngleConfig,
     AngleConvention,
-    DataSetQuad,
-    DataSetTriple,
     EmptyDataError,
     InequalityKind,
     LengthMismatchError,
@@ -35,18 +33,20 @@ from .core import (
 )
 from .data_inequality import (
     ExactCorrelation,
+    PatternCounts,
     _margin_3_from_sums,
     _triple_sums,
     data_bell_margin_3,
     data_bell_margin_4,
 )
-from .datafile import DataParseError, read_outcome_csv, write_triples_csv
+from .datafile import DataParseError, read_pattern_counts, write_triples_csv
+from .datafile import read_outcome_csv  # noqa: F401  (still importable from here)
 from .sampler import convergence_study, make_rng, sample_dataset
 from .sweep import VIOLATION_THRESHOLD, grid_sweep, write_records_csv
 
 DEFAULT_SEED = 42
 
-_MARGINS = {DataSetTriple: data_bell_margin_3, DataSetQuad: data_bell_margin_4}
+_MARGINS = {3: data_bell_margin_3, 4: data_bell_margin_4}
 
 
 def _parse_angles(text: str, degrees: bool) -> tuple[float, float, float]:
@@ -72,9 +72,9 @@ def _print_json(obj) -> None:
 
 
 def cmd_check_data(args) -> int:
-    data = read_outcome_csv(args.path)
-    report = _MARGINS[type(data)](data)
-    payload = {"command": "check-data", "path": args.path, "n": data.n, **report.as_dict()}
+    counts = read_pattern_counts(args.path)
+    report = _MARGINS[counts.width](counts)
+    payload = {"command": "check-data", "path": args.path, "n": counts.n, **report.as_dict()}
     if args.format == "json":
         _print_json(payload)
     else:
@@ -91,7 +91,7 @@ def cmd_simulate(args) -> int:
     rng = make_rng(args.seed)
     data = sample_dataset(cfg, args.n, rng)
     write_triples_csv(args.out, data)
-    sums = _triple_sums(data)
+    sums = _triple_sums(PatternCounts.of(data))
     report = _margin_3_from_sums(*sums, args.n)
     c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in sums)
     summary = {

@@ -2,7 +2,10 @@
 
 Cells are +1, 1 or -1. The reader parses the common spelling of such files
 with numpy, a chunk at a time, and hands any other spelling to the csv
-module, whose verdicts and line numbers are the reference.
+module, whose verdicts and line numbers are the reference. One parser feeds
+two sinks: `read_outcome_csv` keeps every cell as an int8 column, while
+`read_pattern_counts` folds each parsed chunk into sign-pattern counts and
+keeps no cells, so its memory is bounded by the chunk at any file size.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from array import array
 import numpy as np
 
 from .core import DataSetQuad, DataSetTriple, EmptyDataError
+from .data_inequality import PatternCounts
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -50,18 +54,31 @@ def _parse_header(row: list[str]) -> tuple[str, ...]:
     return header
 
 
-def _extend_from_csv(rows, width: int, cells: array, first_line: int) -> None:
-    """The reference parser: csv rows from `first_line` on, appended to `cells`."""
+# The csv loop hands its cells to the sink in blocks of about this many.
+_CSV_BLOCK_CELLS = 1 << 15
+
+
+def _extend_from_csv(rows, width: int, cells, first_line: int) -> None:
+    """The reference parser: csv rows from `first_line` on, handed to `cells`.
+
+    `cells` is a sink: anything with array's `frombytes` for int8 cells,
+    row after row.
+    """
+    block = array("b")
     for line, row in enumerate(rows, start=first_line):
         if len(row) != width:
             if not row:  # blank line, e.g. a trailing one
                 continue
             raise RaggedRowError(line, f"expected {width} cells, got {len(row)}")
-        cells.extend([_parse_cell(cell, line) for cell in row])
+        block.extend([_parse_cell(cell, line) for cell in row])
+        if len(block) >= _CSV_BLOCK_CELLS:
+            cells.frombytes(block)
+            del block[:]
+    cells.frombytes(block)
 
 
-# The fast path reads the body in chunks of about this many bytes, so memory
-# is bounded by the chunk and the int8 result, not by the file's text. Kept
+# The fast path reads the body in chunks of about this many bytes, so a
+# sink that keeps no cells holds only the chunk, at any size of file. Kept
 # small: the chunk's numpy temporaries count towards a small file's peak RSS.
 _CHUNK_BYTES = 1 << 15
 # A header line the fast path takes: optional BOM, printable ASCII without a
@@ -122,8 +139,8 @@ def _fast_cells(chunk: bytes, width: int) -> np.ndarray | None:
     return 1 - 2 * minus.view(np.int8)
 
 
-def _read_body(fh, width: int, cells: array) -> None:
-    """Parse the rest of `fh` (binary, positioned after the header) into `cells`.
+def _read_body(fh, width: int, cells) -> None:
+    """Parse the rest of `fh` (binary, positioned after the header) into sink `cells`.
 
     Chunks in the fast grammar are parsed with numpy. The first chunk that
     is not hands everything from its first line on to the csv module, with
@@ -162,15 +179,26 @@ def _read_body(fh, width: int, cells: array) -> None:
         carry = buf[end:]
 
 
-def read_outcome_csv(path: str) -> DataSetTriple | DataSetQuad:
-    """Read a triple or quad data file; the header decides which."""
-    # parsed cells go straight into one flat int8 buffer, row after row
-    cells = array("b")
+class _PatternFold:
+    """A sink that keeps only the pattern counts of the cells it is given."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.total = PatternCounts(np.zeros(1 << width))
+
+    def frombytes(self, cells) -> None:
+        rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, self.width)
+        self.total += PatternCounts.from_columns(rows.T)
+
+
+def _read(path: str, new_sink):
+    """Parse `path` into the sink `new_sink(width)` makes; return (header, sink)."""
     with open(path, "rb") as fh:
         plain = _PLAIN_HEADER.fullmatch(fh.readline())
         if plain:
             header = _parse_header(next(csv.reader([plain[2].decode("ascii")])))
-            _read_body(fh, len(header), cells)
+            sink = new_sink(len(header))
+            _read_body(fh, len(header), sink)
         else:
             fh.seek(0)
             rows = csv.reader(io.TextIOWrapper(fh, encoding="utf-8-sig", newline=""))
@@ -178,11 +206,31 @@ def read_outcome_csv(path: str) -> DataSetTriple | DataSetQuad:
                 header = _parse_header(next(rows))
             except StopIteration:
                 raise DataParseError(1, "empty file, expected a header row") from None
-            _extend_from_csv(rows, len(header), cells, 2)
+            sink = new_sink(len(header))
+            _extend_from_csv(rows, len(header), sink, 2)
+    return header, sink
+
+
+def read_outcome_csv(path: str) -> DataSetTriple | DataSetQuad:
+    """Read a triple or quad data file; the header decides which."""
+    # parsed cells go straight into one flat int8 buffer, row after row
+    header, cells = _read(path, lambda width: array("b"))
     if not cells:
         raise EmptyDataError(f"{path}: no data rows")
     rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, len(header))
     return _DATA_SETS[header].from_trials(rows)
+
+
+def read_pattern_counts(path: str) -> PatternCounts:
+    """The pattern counts of a triple or quad data file, without keeping its cells.
+
+    Accepts and rejects exactly what `read_outcome_csv` does, with the same
+    errors and line numbers.
+    """
+    _, fold = _read(path, _PatternFold)
+    if fold.total.n == 0:
+        raise EmptyDataError(f"{path}: no data rows")
+    return fold.total
 
 
 _ROW_BYTES = np.array(

@@ -33,7 +33,7 @@ import numpy as np
 
 from .analytic import half_angle_factor, sin2_cos2, third_correlation
 from .core import AngleConfig, ConvergenceRecord, DataSetTriple
-from .data_inequality import ExactCorrelation, _margin_3_from_sums, _triple_sums
+from .data_inequality import ExactCorrelation, PatternCounts, _margin_3_from_sums, _triple_sums
 
 
 class InsufficientMatchesError(RuntimeError):
@@ -228,7 +228,7 @@ def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[in
         raise ValueError("n must be >= 1")
     bg = rng.bit_generator
     if not isinstance(bg, np.random.Philox):
-        return _triple_sums(sample_dataset(cfg, n, rng))
+        return _triple_sums(PatternCounts.of(sample_dataset(cfg, n, rng)))
     k = half_angle_factor(cfg.convention)
     s2b, c2b = sin2_cos2(k, cfg.b - cfg.a)
     s2p, c2p = sin2_cos2(k, cfg.bp - cfg.a)

@@ -301,12 +301,14 @@ def test_convergence_rejects_bad_n_list(capsys):
 
 def test_cli_import_pulls_in_no_heavy_modules():
     # every command pays for what importing the CLI loads: concurrent.futures
-    # alone adds ~0.7 MB to each command's peak RSS
+    # alone adds ~0.7 MB to each command's peak RSS, numpy.ma ~1.5 MB, and
+    # fractions pulls in decimal
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
     code = (
         "import bellwigner.cli, sys; "
-        "print([m for m in ('concurrent.futures', 'logging') if m in sys.modules])"
+        "print([m for m in ('concurrent.futures', 'logging', 'fractions', 'decimal', 'numpy.ma') "
+        "if m in sys.modules])"
     )
     proc = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60

@@ -1,5 +1,4 @@
 import itertools
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -14,12 +13,13 @@ from bellwigner import (
     InequalityKind,
     LengthMismatchError,
     Mode,
+    PatternCounts,
     cross_correlation,
     data_bell_margin_3,
-    data_bell_margin_3_flipped,
     data_bell_margin_4,
     quad_brackets,
 )
+from bellwigner.data_inequality import _triple_sums
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
@@ -29,7 +29,6 @@ ALL_QUADS = list(itertools.product((1, -1), repeat=4))
 def test_exact_correlation_bounds():
     c = ExactCorrelation(1, 3)
     assert c.value == 1 / 3
-    assert c.as_fraction() == Fraction(1, 3)
     with pytest.raises(ValueError):
         ExactCorrelation(4, 3)
     with pytest.raises(ValueError):
@@ -77,15 +76,6 @@ def test_margin_3_hand_example():
     assert (r.lhs, r.rhs, r.margin) == (0.0, 2.0, 2.0)
 
 
-def test_margin_3_flipped_hand_examples():
-    d = DataSetTriple.from_trials([(1, 1, 1)] * 3)
-    r = data_bell_margin_3_flipped(d)
-    assert (r.rhs, r.margin) == (0.0, 0.0)
-    d = DataSetTriple.from_trials([(1, 1, -1), (1, -1, 1)])
-    r = data_bell_margin_3_flipped(d)
-    assert (r.rhs, r.margin) == (2.0, 2.0)
-
-
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_margin_3_nonnegative_exhaustive_small_n(n):
     for rows in itertools.product(ALL_TRIPLES, repeat=n):
@@ -116,21 +106,81 @@ def test_margin_3_is_always_nonnegative(d):
 
 
 @given(datasets)
-def test_flipped_margin_identical_to_plain(d):
-    plain = data_bell_margin_3(d)
-    flipped = data_bell_margin_3_flipped(d)
-    assert flipped.margin == plain.margin
-    assert flipped.rhs == plain.rhs
-    assert flipped.lhs == plain.lhs
+def test_side_flip_negates_the_bb_sum(d):
+    # a' = -b' on the other side: flipping b' swaps each pattern with its
+    # neighbour in the last bit, so sum(b a') = -sum(b b') and the rhs
+    # 1 + C(b, a') is the rhs 1 - C(b, b')
+    counts = PatternCounts.of(d)
+    flipped = PatternCounts.of(DataSetTriple(d.a, d.b, -d.bp))
+    assert flipped.counts.tolist() == counts.counts[np.arange(8) ^ 1].tolist()
+    assert _triple_sums(flipped)[2] == -_triple_sums(counts)[2]
 
 
-def test_flipped_margin_identical_on_bulk_random_datasets():
+def _unit_counts(width, p):
+    counts = np.zeros(1 << width, dtype=np.int64)
+    counts[p] = 1
+    return PatternCounts(counts)
+
+
+def test_margin_3_halves_have_coefficients_zero_or_four_on_every_pattern():
+    # (N - sum bb') -+ (sum ab - sum ab') is linear in the counts; on pattern
+    # p its coefficient is 1 - bb' -+ a(b - b'). All are 0 or 4, so with
+    # counts >= 0 both halves, and the margin, are >= 0 at every N.
+    coefficients = set()
+    for p, (a, b, bp) in enumerate(itertools.product((-1, 1), repeat=3)):
+        sab, sabp, sbbp = _triple_sums(_unit_counts(3, p))
+        assert (sab, sabp, sbbp) == (a * b, a * bp, b * bp)
+        for sign in (1, -1):
+            coefficient = (1 - sbbp) - sign * (sab - sabp)
+            assert coefficient == 1 - b * bp - sign * a * (b - bp)
+            coefficients.add(coefficient)
+    assert coefficients == {0, 4}
+
+
+def test_margin_4_halves_have_coefficients_zero_or_four_on_every_pattern():
+    # 2N -+ (bracket total): on pattern p the coefficient is 2 -+ bracket
+    coefficients = set()
+    for p, row in enumerate(itertools.product((-1, 1), repeat=4)):
+        r = data_bell_margin_4(_unit_counts(4, p))
+        bracket = int(quad_brackets(DataSetQuad.from_trials([row]))[0])
+        assert r.lhs == abs(bracket)
+        coefficients |= {2 - bracket, 2 + bracket}
+    assert coefficients == {0, 4}
+
+
+@given(st.lists(trial_rows, min_size=1, max_size=64), st.data())
+def test_counts_of_two_halves_add_to_the_whole(rows, data):
+    cut = data.draw(st.integers(0, len(rows)))
+    whole = PatternCounts.of(DataSetTriple.from_trials(rows))
+    parts = [PatternCounts.from_columns(np.array(part, dtype=np.int8).reshape(-1, 3).T)
+             for part in (rows[:cut], rows[cut:])]
+    assert parts[0] + parts[1] == whole
+    assert whole.n == len(rows) and whole.width == 3
+
+
+def test_sums_from_counts_equal_column_products():
     rng = np.random.default_rng(20250810)
-    for _ in range(10_000):
-        n = int(rng.integers(1, 30))
-        cols = rng.integers(0, 2, size=(n, 3), dtype=np.int8) * 2 - 1
-        d = DataSetTriple(cols[:, 0], cols[:, 1], cols[:, 2])
-        assert data_bell_margin_3_flipped(d).margin == data_bell_margin_3(d).margin
+    for n in (1, 2, 3, 1000, (1 << 16) + 3):
+        cols = rng.integers(0, 2, size=(3, n), dtype=np.int8) * 2 - 1
+        counts = PatternCounts.of(DataSetTriple(*cols))
+        products = [int((cols[i] * cols[j]).sum(dtype=np.int64)) for i, j in ((0, 1), (0, 2), (1, 2))]
+        assert list(_triple_sums(counts)) == products
+        quad = rng.integers(0, 2, size=(4, n), dtype=np.int8) * 2 - 1
+        r = data_bell_margin_4(PatternCounts.of(DataSetQuad(*quad)))
+        assert r.lhs == abs(int(quad_brackets(DataSetQuad(*quad)).sum(dtype=np.int64))) / n
+
+
+def test_pattern_counts_reject_bad_values():
+    with pytest.raises(ValueError):
+        PatternCounts(np.zeros(5))
+    with pytest.raises(ValueError):
+        PatternCounts(np.array([-1] + [0] * 7))
+    with pytest.raises(ValueError):
+        PatternCounts(np.zeros(8)) + PatternCounts(np.zeros(16))
+    with pytest.raises(ValueError):
+        data_bell_margin_3(PatternCounts(np.ones(16)))
+    with pytest.raises(EmptyDataError):
+        data_bell_margin_4(PatternCounts(np.zeros(16)))
 
 
 def test_quad_brackets_are_plus_minus_two_for_all_sixteen():

@@ -4,9 +4,13 @@
 module, one cell at a time. For every file, `read_outcome_csv` must return
 the same columns or raise the same exception class at the same line.
 `reference_write` is the csv writer loop that `write_triples_csv` replaced.
+`read_pattern_counts` must agree with the counts of `read_outcome_csv`'s
+columns, and hold no cells while it reads.
 """
 
 import csv
+import json
+import tracemalloc
 from array import array
 from dataclasses import fields
 from unittest import mock
@@ -16,12 +20,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 
-from bellwigner import DataSetQuad, DataSetTriple, EmptyDataError
-from bellwigner import datafile
+from bellwigner import DataSetQuad, DataSetTriple, EmptyDataError, PatternCounts
+from bellwigner import cli, datafile
 from bellwigner.datafile import (
     DataParseError,
     RaggedRowError,
     read_outcome_csv,
+    read_pattern_counts,
     write_triples_csv,
 )
 from conftest import trial_rows
@@ -121,6 +126,52 @@ def test_reader_matches_csv_reference(data_path, content, chunk_bytes):
     data_path.write_bytes(content)
     assert_same_outcome(data_path, chunk_bytes)
     assert_same_outcome(data_path)
+
+
+def counts_outcome(read, path):
+    try:
+        return read(str(path))
+    except (ValueError, csv.Error) as exc:
+        return type(exc), getattr(exc, "line", None)
+
+
+@settings(max_examples=400, deadline=None)
+@given(content=data_files(), chunk_bytes=st.integers(1, 24), block_cells=st.integers(1, 9))
+def test_pattern_counts_match_counts_of_columns(data_path, content, chunk_bytes, block_cells):
+    data_path.write_bytes(content)
+    expected = counts_outcome(lambda p: PatternCounts.of(read_outcome_csv(p)), data_path)
+    with mock.patch.multiple(datafile, _CHUNK_BYTES=chunk_bytes, _CSV_BLOCK_CELLS=block_cells):
+        assert counts_outcome(read_pattern_counts, data_path) == expected
+
+
+_MIXED_ROWS = np.array(
+    [f"{a},{b},{bp}\n".encode() for a in ("-1", "+1") for b in ("-1", " 1") for bp in ("-1", "1 ")],
+    dtype=object,
+)
+
+
+@pytest.mark.parametrize(
+    "rows, first_row",
+    [(200_000, b""), (400_000, b""), (150_000, b'"+1",1,1\n')],
+    ids=["fast-2e5", "fast-4e5", "csv-loop-1.5e5"],
+)
+def test_check_data_memory_does_not_grow_with_rows(tmp_path, capsys, rows, first_row):
+    # the cells alone would take 600 KB, 1.2 MB and 450 KB; folding each
+    # chunk or csv block into counts holds only that chunk's temporaries
+    # (the fast grammar check makes about 16 the size of a 32 KiB chunk)
+    rng = np.random.default_rng(rows)
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b,bp\n" + first_row + b"".join(_MIXED_ROWS[rng.integers(0, 8, rows)].tolist()))
+    cli.main(["check-data", str(path)])  # warm-up
+    capsys.readouterr()
+    tracemalloc.start()
+    try:
+        assert cli.main(["check-data", str(path)]) == 0
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert json.loads(capsys.readouterr().out)["n"] == rows + first_row.count(b"\n")
+    assert peak < 768 * 2**10, peak
 
 
 BODY = "+1,-1,+1\n" * 4 + " 1,\t-1 ,+1\r\n" + "-1,-1,-1\n" * 4

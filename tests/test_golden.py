@@ -9,6 +9,7 @@ import hashlib
 import json
 import math
 
+import numpy as np
 import pytest
 
 from bellwigner import AngleConfig, make_rng, matched_pairs_estimate
@@ -83,3 +84,43 @@ def test_check_data_quad_report(tmp_path, capsys):
         "satisfied": True,
         "tolerance": 0.0,
     }
+
+
+def seeded_trial_file(path, header, rows, seed, line_end="\n", quoted_row=None):
+    """A seeded trials file with mixed cell spellings; one cell quoted if asked."""
+    rng = np.random.default_rng(seed)
+    width = len(header.split(","))
+    plus = rng.integers(0, 2, size=(rows, width)).astype(bool)
+    spelling = rng.integers(0, 3, size=(rows, width))
+    cells = [
+        [("+1", "1", " 1 ")[k] if p else ("-1", " -1", "-1\t")[k] for p, k in zip(ps, ks)]
+        for ps, ks in zip(plus.tolist(), spelling.tolist())
+    ]
+    if quoted_row is not None:
+        cells[quoted_row][1] = f'"{cells[quoted_row][1]}"'
+    path.write_text(header + line_end + "".join(",".join(r) + line_end for r in cells), newline="")
+
+
+@pytest.mark.parametrize(
+    "header, rows, line_end, quoted_row, digests",
+    [
+        # about 60 KB: the fast path takes the first chunk, then the quoted
+        # cell hands the rest of the file to the csv loop; the 72 KB quads
+        # file stays on the fast path for all of its chunks
+        ("a,b,bp", 6000, "\n", 3500,
+         ("aaab7788b2cf236cf69724c3a94fd230502478e227b5748dcbb9af4127e06e90",
+          "3d53a2971828897f8f514a345af035b7d5b72f6d1ae186c0804936f94059bb75")),
+        ("a,ap,b,bp", 5000, "\r\n", None,
+         ("db47eee14334473a6eaf1822dde846c8cd0d331230015c7402903fb24bc328ae",
+          "27f8acfa95916c38b93073f0ba867f8749e5a0c8794b9d1f3f89126a4b0e83d0")),
+    ],
+    ids=["triples-hand-over", "quads"],
+)
+def test_check_data_output_bytes(tmp_path, monkeypatch, capsys, header, rows, line_end, quoted_row, digests):
+    monkeypatch.chdir(tmp_path)
+    seeded_trial_file(tmp_path / "trials.csv", header, rows, 7, line_end, quoted_row)
+    outputs = []
+    for fmt in ("json", "csv"):
+        assert main(["check-data", "trials.csv", "--format", fmt]) == 0
+        outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
+    assert tuple(outputs) == digests

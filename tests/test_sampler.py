@@ -9,7 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bellwigner import sampler
-from bellwigner.data_inequality import _triple_sums
+from bellwigner.data_inequality import PatternCounts, _triple_sums
 from bellwigner.sampler import _usable_cpus
 from bellwigner import (
     AngleConfig,
@@ -298,7 +298,7 @@ def test_streamed_sums_match_column_reference(
     # and the generator's later draws are those of the whole columns
     cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
     rng = _prepared(make_rng(seed), pre, half)
-    expected = _sums_and_after(_triple_sums(sample_dataset(cfg, n, rng)), rng)
+    expected = _sums_and_after(_triple_sums(PatternCounts.of(sample_dataset(cfg, n, rng))), rng)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -315,7 +315,7 @@ def test_streamed_sums_of_a_non_philox_generator_are_drawn_serially():
         return np.random.Generator(np.random.PCG64(5))
 
     rng = pcg()
-    expected = _sums_and_after(_triple_sums(sample_dataset(CFG, 50, rng)), rng)
+    expected = _sums_and_after(_triple_sums(PatternCounts.of(sample_dataset(CFG, 50, rng))), rng)
     with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
         rng = pcg()
         assert _sums_and_after(sampler._sample_sums(CFG, 50, rng), rng) == expected
