@@ -9,7 +9,6 @@ and substituted (NAIVE) evaluations.
 from .analytic import (
     bell_correlation,
     bell_margin,
-    conditional_plus_probability,
     half_angle_factor,
     joint_probability,
     third_correlation,
@@ -30,7 +29,6 @@ from .core import (
     JointProbabilities,
     LengthMismatchError,
     Mode,
-    Outcome,
 )
 from .data_inequality import (
     ExactCorrelation,

@@ -34,7 +34,6 @@ from .core import (
     InequalityReport,
     JointProbabilities,
     Mode,
-    as_outcome,
 )
 
 
@@ -75,21 +74,6 @@ def bell_correlation(
     """Entangled-pair correlation -cos(2k(y - x)); equals 4 P++ - 1."""
     k = half_angle_factor(convention)
     return float(-np.cos(2.0 * k * (y - x)))
-
-
-def conditional_plus_probability(
-    setting: float,
-    a_setting: float,
-    a_outcome: int,
-    convention: AngleConvention = AngleConvention.SPIN,
-) -> float:
-    """P(+1 at `setting` on the B side | the A-side outcome at `a_setting`).
-
-    The A-side marginal is a fair 1/2, so dividing it out of the joint cells
-    leaves sin^2(k d) given +1 and cos^2(k d) given -1.
-    """
-    s2, c2 = sin2_cos2(half_angle_factor(convention), setting - a_setting)
-    return float(s2 if as_outcome(a_outcome) == 1 else c2)
 
 
 class ThirdPairProbabilities(NamedTuple):

@@ -33,8 +33,6 @@ from .core import (
 )
 from .data_inequality import (
     ExactCorrelation,
-    PatternCounts,
-    _margin_3_from_sums,
     _triple_sums,
     data_bell_margin_3,
     data_bell_margin_4,
@@ -88,12 +86,9 @@ def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    rng = make_rng(args.seed)
-    data = sample_dataset(cfg, args.n, rng)
-    write_triples_csv(args.out, data)
-    sums = _triple_sums(PatternCounts.of(data))
-    report = _margin_3_from_sums(*sums, args.n)
-    c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in sums)
+    counts = write_triples_csv(args.out, sample_dataset(cfg, args.n, make_rng(args.seed)))
+    report = data_bell_margin_3(counts)
+    c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in _triple_sums(counts))
     summary = {
         "command": "simulate",
         "n": args.n,

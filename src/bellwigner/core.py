@@ -1,4 +1,4 @@
-"""Shared domain types: outcomes, columnar data sets, angle configurations, and reports.
+"""Shared domain types: columnar outcome data sets, angle configurations, and reports.
 
 Everything here is an immutable value type with validating construction.
 Outcomes are signed integers (+1/-1), never booleans, so products like
@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from enum import Enum, IntEnum
+from enum import Enum
 from typing import Sequence
 
 import numpy as np
@@ -26,21 +26,6 @@ class EmptyDataError(ValueError):
 
 class LengthMismatchError(ValueError):
     """Two aligned outcome sequences have different lengths."""
-
-
-class Outcome(IntEnum):
-    """A single detector readout. Arithmetic on members yields plain ints."""
-
-    PLUS = 1
-    MINUS = -1
-
-
-def as_outcome(value) -> int:
-    """Validate an outcome value and return it as a plain int (+1 or -1)."""
-    try:
-        return int(Outcome(value))
-    except ValueError:
-        raise ValueError(f"outcome must be +1 or -1, got {value!r}") from None
 
 
 def outcome_array(values) -> np.ndarray:
@@ -194,11 +179,6 @@ class JointProbabilities:
         total = self.pp + self.pm + self.mp + self.mm
         if abs(total - 1.0) > TOLERANCE:
             raise ValueError(f"probabilities sum to {total!r}, expected 1")
-
-    @property
-    def symmetric(self) -> bool:
-        """True when P++ = P-- and P+- = P-+ (entangled-pair symmetry)."""
-        return abs(self.pp - self.mm) <= TOLERANCE and abs(self.pm - self.mp) <= TOLERANCE
 
     @property
     def correlation(self) -> float:

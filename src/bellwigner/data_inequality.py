@@ -101,6 +101,15 @@ def _exact_report(
 _COUNT_ROWS = 1 << 16
 
 
+def _pattern_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
+    """Each trial's sign pattern: one bit per +-1 column, OR-ed in header order."""
+    code = (columns[0] > 0).view(np.uint8)
+    for column in columns[1:]:
+        code <<= 1
+        code |= column > 0
+    return code
+
+
 @dataclass(frozen=True, eq=False)
 class PatternCounts:
     """How many trials show each sign pattern: the exact statistic of a data set.
@@ -129,12 +138,7 @@ class PatternCounts:
         counts = np.zeros(1 << len(columns), dtype=np.int64)
         for lo in range(0, n, _COUNT_ROWS):
             s = slice(lo, lo + _COUNT_ROWS)
-            # the pattern code: one bit per column, OR-ed in header order
-            code = (columns[0][s] > 0).view(np.uint8)
-            for column in columns[1:]:
-                code <<= 1
-                code |= column[s] > 0
-            counts += np.bincount(code, minlength=counts.size)
+            counts += np.bincount(_pattern_codes([c[s] for c in columns]), minlength=counts.size)
         return cls(counts)
 
     @classmethod

@@ -18,7 +18,7 @@ from array import array
 import numpy as np
 
 from .core import DataSetQuad, DataSetTriple, EmptyDataError
-from .data_inequality import PatternCounts
+from .data_inequality import PatternCounts, _pattern_codes
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -170,8 +170,11 @@ def _read_body(fh, width: int, cells) -> None:
         values = _fast_cells(buf[:end], width) if len(buf) <= limit else None
         if values is None:
             fh.seek(pos)
-            rows = csv.reader(io.TextIOWrapper(fh, encoding="utf-8", newline=""))
-            _extend_from_csv(rows, width, cells, line)
+            text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
+            try:
+                _extend_from_csv(csv.reader(text), width, cells, line)
+            finally:
+                text.detach()  # the caller's file stays open
             return
         cells.frombytes(values)
         line += buf.count(b"\n", 0, end)
@@ -201,13 +204,17 @@ def _read(path: str, new_sink):
             _read_body(fh, len(header), sink)
         else:
             fh.seek(0)
-            rows = csv.reader(io.TextIOWrapper(fh, encoding="utf-8-sig", newline=""))
+            text = io.TextIOWrapper(fh, encoding="utf-8-sig", newline="")
             try:
-                header = _parse_header(next(rows))
-            except StopIteration:
-                raise DataParseError(1, "empty file, expected a header row") from None
-            sink = new_sink(len(header))
-            _extend_from_csv(rows, len(header), sink, 2)
+                rows = csv.reader(text)
+                first = next(rows, None)
+                if first is None:
+                    raise DataParseError(1, "empty file, expected a header row")
+                header = _parse_header(first)
+                sink = new_sink(len(header))
+                _extend_from_csv(rows, len(header), sink, 2)
+            finally:
+                text.detach()
     return header, sink
 
 
@@ -244,11 +251,17 @@ _ROW_BYTES = np.array(
 _WRITE_ROWS = 1 << 16
 
 
-def write_triples_csv(path: str, data: DataSetTriple) -> None:
-    """Write `data` as a triples file, cells +1/-1, one table row per trial."""
+def write_triples_csv(path: str, data: DataSetTriple) -> PatternCounts:
+    """Write `data` as a triples file, cells +1/-1, one table row per trial.
+
+    Returns the pattern counts of the rows written.
+    """
+    counts = np.zeros(8, dtype=np.int64)
     with open(path, "wb") as fh:
         fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
         for lo in range(0, data.n, _WRITE_ROWS):
             s = slice(lo, lo + _WRITE_ROWS)
-            code = (data.a[s] > 0) * 4 + (data.b[s] > 0) * 2 + (data.bp[s] > 0)
+            code = _pattern_codes((data.a[s], data.b[s], data.bp[s]))
             fh.write(_ROW_BYTES[code].tobytes())
+            counts += np.bincount(code, minlength=8)
+    return PatternCounts(counts)

@@ -12,15 +12,17 @@ a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
 
-Draws are filled in slices, on one thread per usable CPU: each slice comes
-from a copy of the generator's Philox state jumped ahead by counter to the
-slice's first draw, so the outputs are bit-identical to serial drawing for
-any CPU count. A generator that is not Philox draws serially.
-
-The convergence study needs only the exact sums of each sample, so it
-keeps no columns: its threads jump to each slice's draws in all three
-columns, fold the slice into the sums and reuse their buffers, so its
-memory does not grow with the sample count.
+One driver draws every sample: trials come in slices, on one thread per
+usable CPU, and each slice's a column and conditional columns are drawn
+together and handed to a visitor, which stores them as int8 columns
+(`sample_dataset`, both matched-pairs arms) or folds them into the exact
+sums (the convergence study, whose memory therefore does not grow with the
+sample count). Each column of a slice comes from a copy of the generator's
+Philox state jumped ahead by counter to the slice's first draw of that
+column, so the outputs are bit-identical to serial drawing for any slice
+size and CPU count. A generator that is not Philox cannot jump ahead: it
+draws all trials as one slice, serially, in memory that grows with the
+sample count.
 """
 
 from __future__ import annotations
@@ -33,7 +35,7 @@ import numpy as np
 
 from .analytic import half_angle_factor, sin2_cos2, third_correlation
 from .core import AngleConfig, ConvergenceRecord, DataSetTriple
-from .data_inequality import ExactCorrelation, PatternCounts, _margin_3_from_sums, _triple_sums
+from .data_inequality import ExactCorrelation, _margin_3_from_sums
 
 
 class InsufficientMatchesError(RuntimeError):
@@ -109,11 +111,6 @@ def _run_threads(work, count: int) -> None:
         raise errors[0]
 
 
-def _random_at(state: dict, skip: int):
-    """``random`` of a Generator at Philox ``state`` moved on by ``skip`` draws."""
-    return np.random.Generator(_philox_at(state, skip)).random
-
-
 def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
     """Set ``bg`` to ``state`` moved on by ``skip`` draws, as serial drawing would.
 
@@ -125,138 +122,103 @@ def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
     bg.state = end
 
 
-def _fill_plus(
-    draw,
-    u: np.ndarray,
-    plus: np.ndarray,
-    p: float,
-    a_plus: np.ndarray | None = None,
-    p_a_plus: float = 0.0,
-) -> None:
-    """Draw ``u`` and set ``plus`` to u < p, or u < p_a_plus where ``a_plus``.
+def _conditionals(cfg: AngleConfig, *settings: float) -> list[tuple[float, float]]:
+    """(P(+1 | a = -1), P(+1 | a = +1)) at each B-side setting: (cos^2, sin^2)."""
+    k = half_angle_factor(cfg.convention)
+    return [sin2_cos2(k, s - cfg.a)[::-1] for s in settings]
 
-    The one per-slice sampling step: every sampled outcome is +1 exactly
-    where this sets ``plus``.
+
+def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> list:
+    """Draw n trials in slices and return ``visit(lo, columns)`` of each, in slice order.
+
+    Per trial, a is +1 with probability 1/2 and column j of ``conditionals``
+    is +1 with probability ``conditionals[j][a > 0]``. ``columns`` holds the
+    slice's bool columns (True = +1): a, then one per conditional. Trial i
+    of column j is set by the i-th uniform of column j in serial drawing
+    order, a's n draws first, so the outcomes do not depend on how the
+    trials are sliced.
+
+    A Philox ``rng`` has its slices of ``_DRAW_SLICE`` trials drawn on
+    threads, each column from a copy of the state jumped ahead to that
+    column's first draw of the slice; ``rng`` is then left where serial
+    drawing would leave it. Any other generator cannot jump ahead, so it
+    draws all n trials as one slice, column after column: the same draws,
+    in O(n) memory.
     """
-    draw(out=u)
-    np.less(u, p, out=plus)
-    if a_plus is not None:
-        np.less(u, p_a_plus, out=plus, where=a_plus)
+    bg = rng.bit_generator
+    state = bg.state if isinstance(bg, np.random.Philox) else None
+    size = n if state is None else min(n, _DRAW_SLICE)
+    starts = range(0, n, size)
+    count = min(_THREADS, len(starts))
+    width = 1 + len(conditionals)
+    results = [None] * len(starts)
+
+    def work(t: int) -> None:
+        u = np.empty(size)
+        cols = np.empty((width, size), dtype=np.bool_)
+        for i in range(t, len(starts), count):
+            lo = starts[i]
+            m = min(n - lo, size)
+            um, slice_cols = u[:m], cols[:, :m]
+            a = slice_cols[0]
+            for j, col in enumerate(slice_cols):
+                if state is None:
+                    rng.random(out=um)
+                else:
+                    np.random.Generator(_philox_at(state, j * n + lo)).random(out=um)
+                if j == 0:
+                    np.less(um, 0.5, out=col)
+                else:
+                    p_a_minus, p_a_plus = conditionals[j - 1]
+                    np.less(um, p_a_minus, out=col)
+                    np.less(um, p_a_plus, out=col, where=a)
+            results[i] = visit(lo, slice_cols)
+
+    _run_threads(work, count)
+    if state is not None:
+        _leave_at(bg, state, width * n)
+    return results
 
 
-def _plus_outcomes(
-    n: int,
-    rng: np.random.Generator,
-    p: float,
-    a: np.ndarray | None = None,
-    p_a_plus: float = 0.0,
-) -> np.ndarray:
-    """n read-only int8 outcomes, +1 with probability p (p_a_plus where a = +1).
+def _sample_columns(n: int, rng: np.random.Generator, conditionals) -> np.ndarray:
+    """The sampled +-1 outcomes as a read-only int8 array, one row per column."""
+    out = np.empty((1 + len(conditionals), n), dtype=np.int8)
 
-    Trial i is +1 when the i-th uniform of ``rng`` is below its probability,
-    so the result is the same for any slice size or thread count. A Philox
-    ``rng`` has its slices drawn on threads, each from a copy of the state
-    skipped ahead to the slice; ``rng`` is then left n draws on, as serial
-    drawing would leave it. Other generators draw serially.
-    """
-    out = np.empty(n, dtype=np.int8)
-    plus = out.view(np.bool_)
-
-    def fill(lo: int, draw, u: np.ndarray) -> None:
-        hi = min(n, lo + _DRAW_SLICE)
-        a_plus = None if a is None else a[lo:hi] == 1
-        _fill_plus(draw, u[: hi - lo], plus[lo:hi], p, a_plus, p_a_plus)
-        o = out[lo:hi]
-        o += o
+    def store(lo: int, columns: np.ndarray) -> None:
+        o = out[:, lo : lo + columns.shape[1]]
+        plus = columns.view(np.int8)
+        np.add(plus, plus, out=o)
         o -= 1
 
-    starts = range(0, n, _DRAW_SLICE)
-    count = min(_THREADS, len(starts))
-    bg = rng.bit_generator
-    if count < 2 or not isinstance(bg, np.random.Philox):
-        u = np.empty(min(n, _DRAW_SLICE))
-        for lo in starts:
-            fill(lo, rng.random, u)
-    else:
-        state = bg.state
-
-        def work(t: int) -> None:
-            u = np.empty(_DRAW_SLICE)
-            for lo in starts[t::count]:
-                fill(lo, _random_at(state, lo), u)
-
-        _run_threads(work, count)
-        _leave_at(bg, state, n)
+    _sample_slices(n, rng, conditionals, store)
     out.setflags(write=False)
     return out
-
-
-def _fair_outcomes(n: int, rng: np.random.Generator) -> np.ndarray:
-    return _plus_outcomes(n, rng, 0.5)
-
-
-def _conditional_outcomes(
-    a: np.ndarray, d: float, k: float, rng: np.random.Generator
-) -> np.ndarray:
-    """Outcomes at a setting d away from a, each drawn given its a-side outcome."""
-    s2, c2 = sin2_cos2(k, d)
-    return _plus_outcomes(a.shape[0], rng, c2, a, s2)
 
 
 def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSetTriple:
     """Draw n trials: fair +-1 at a, then b and b' given it; draw order a, b, b'."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    k = half_angle_factor(cfg.convention)
-    a = _fair_outcomes(n, rng)
-    b = _conditional_outcomes(a, cfg.b - cfg.a, k, rng)
-    bp = _conditional_outcomes(a, cfg.bp - cfg.a, k, rng)
-    return DataSetTriple(a, b, bp)
+    return DataSetTriple(*_sample_columns(n, rng, _conditionals(cfg, cfg.b, cfg.bp)))
 
 
 def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[int, int, int]:
     """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, without its columns.
 
-    Trial slices are drawn and folded into the sums one at a time, on
-    threads. In sample_dataset's draw order the slice at trial lo starts at
-    draw lo for a, n + lo for b and 2n + lo for b', so each thread reaches
-    its slices by jump-ahead and holds one slice of buffers at any n.
-    ``rng`` is then left 3n draws on. A generator that is not Philox cannot
-    jump ahead, so it draws whole columns.
+    Each slice is folded into its sums as soon as it is drawn, so a Philox
+    ``rng`` holds one slice of buffers per thread at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    bg = rng.bit_generator
-    if not isinstance(bg, np.random.Philox):
-        return _triple_sums(PatternCounts.of(sample_dataset(cfg, n, rng)))
-    k = half_angle_factor(cfg.convention)
-    s2b, c2b = sin2_cos2(k, cfg.b - cfg.a)
-    s2p, c2p = sin2_cos2(k, cfg.bp - cfg.a)
-    state = bg.state
-    starts = range(0, n, _DRAW_SLICE)
-    count = min(_THREADS, len(starts))
-    sums = [None] * count
 
-    def work(t: int) -> None:
-        size = min(n, _DRAW_SLICE)
-        u = np.empty(size)
-        a, b, bp = (np.empty(size, dtype=np.bool_) for _ in range(3))
-        sab = sabp = sbbp = 0
-        for lo in starts[t::count]:
-            m = min(n - lo, _DRAW_SLICE)
-            am, bm, bpm = a[:m], b[:m], bp[:m]
-            _fill_plus(_random_at(state, lo), u[:m], am, 0.5)
-            _fill_plus(_random_at(state, n + lo), u[:m], bm, c2b, am, s2b)
-            _fill_plus(_random_at(state, 2 * n + lo), u[:m], bpm, c2p, am, s2p)
-            # a product of two +-1 outcomes is +1 where they agree
-            sab += 2 * int(np.count_nonzero(am == bm)) - m
-            sabp += 2 * int(np.count_nonzero(am == bpm)) - m
-            sbbp += 2 * int(np.count_nonzero(bm == bpm)) - m
-        sums[t] = (sab, sabp, sbbp)
+    def fold(lo: int, columns: np.ndarray) -> tuple[int, int, int]:
+        a, b, bp = columns
+        m = a.shape[0]
+        # a product of two +-1 outcomes is +1 where they agree
+        return tuple(2 * int(np.count_nonzero(x == y)) - m for x, y in ((a, b), (a, bp), (b, bp)))
 
-    _run_threads(work, count)
-    _leave_at(bg, state, 3 * n)
-    return tuple(sum(column) for column in zip(*sums))
+    slices = _sample_slices(n, rng, _conditionals(cfg, cfg.b, cfg.bp), fold)
+    return tuple(sum(column) for column in zip(*slices))
 
 
 def matched_pairs_estimate(
@@ -272,11 +234,8 @@ def matched_pairs_estimate(
     """
     if n_per_arm < 1:
         raise ValueError("n_per_arm must be >= 1")
-    k = half_angle_factor(cfg.convention)
-    a1 = _fair_outcomes(n_per_arm, rng)
-    b1 = _conditional_outcomes(a1, cfg.b - cfg.a, k, rng)
-    a2 = _fair_outcomes(n_per_arm, rng)
-    b2 = _conditional_outcomes(a2, cfg.bp - cfg.a, k, rng)
+    a1, b1 = _sample_columns(n_per_arm, rng, _conditionals(cfg, cfg.b))
+    a2, b2 = _sample_columns(n_per_arm, rng, _conditionals(cfg, cfg.bp))
     total = 0
     pairs = 0
     for group in (1, -1):

@@ -11,7 +11,6 @@ from bellwigner import (
     Mode,
     bell_correlation,
     bell_margin,
-    conditional_plus_probability,
     half_angle_factor,
     joint_probability,
     third_correlation,
@@ -81,28 +80,6 @@ def test_bell_correlation_equals_probability_combinations(x, y, convention):
     assert c == pytest.approx(jp.correlation, abs=TOLERANCE)
 
 
-def test_conditional_plus_probability_frozen_values():
-    assert conditional_plus_probability(0.0, 0.0, 1, SPIN) == 0.0
-    assert conditional_plus_probability(math.pi, 0.0, 1, SPIN) == pytest.approx(
-        1.0, abs=TOLERANCE
-    )
-    assert conditional_plus_probability(math.pi / 3, 0.0, 1, SPIN) == pytest.approx(
-        0.25, abs=TOLERANCE
-    )
-
-
-def test_conditional_plus_probability_rejects_bad_outcome():
-    with pytest.raises(ValueError, match="outcome"):
-        conditional_plus_probability(0.0, 0.0, 0, SPIN)
-
-
-@given(setting=angles, a_setting=angles, convention=conventions)
-def test_conditional_branches_are_complementary(setting, a_setting, convention):
-    plus = conditional_plus_probability(setting, a_setting, 1, convention)
-    minus = conditional_plus_probability(setting, a_setting, -1, convention)
-    assert plus + minus == pytest.approx(1.0, abs=TOLERANCE)
-
-
 def test_third_pair_frozen_values():
     ppp, ppm = third_pair_probabilities(AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3))
     assert ppp == pytest.approx(3 / 16, abs=TOLERANCE)
@@ -117,13 +94,15 @@ def test_third_pair_frozen_values():
 @given(configs)
 def test_third_pair_matches_conditional_enumeration(cfg):
     # independent route: sum over the fair +-1 outcome at a of the products
-    # of the two conditional +1 probabilities
+    # of the two conditional +1 probabilities, sin^2(k d) after a +1 and
+    # cos^2(k d) after a -1
     ppp, ppm = third_pair_probabilities(cfg)
+    k = 0.5 if cfg.convention is SPIN else 1.0
     by_hand_ppp = 0.0
     by_hand_ppm = 0.0
-    for a_outcome in (1, -1):
-        pb = conditional_plus_probability(cfg.b, cfg.a, a_outcome, cfg.convention)
-        pbp = conditional_plus_probability(cfg.bp, cfg.a, a_outcome, cfg.convention)
+    for trig in (math.sin, math.cos):
+        pb = trig(k * (cfg.b - cfg.a)) ** 2
+        pbp = trig(k * (cfg.bp - cfg.a)) ** 2
         by_hand_ppp += 0.5 * pb * pbp
         by_hand_ppm += 0.5 * pb * (1 - pbp)
     assert ppp == pytest.approx(by_hand_ppp, abs=TOLERANCE)

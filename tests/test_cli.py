@@ -8,7 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from bellwigner import cross_correlation
 from bellwigner.cli import main
+from bellwigner.datafile import read_outcome_csv
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
 
@@ -146,6 +148,28 @@ def test_simulate_csv_round_trips_through_check_data(tmp_path, capsys):
     rc, out_text, _ = run(capsys, "check-data", out)
     assert rc == 0
     assert json.loads(out_text)["satisfied"] is True
+
+
+def test_simulate_report_matches_its_file(tmp_path, capsys):
+    # the summary is computed from the counts of the rows written, so it
+    # must agree with what check-data and the columns read back say
+    out = str(tmp_path / "sim.csv")
+    rc, text, _ = run(capsys, "simulate", "--angles", WITNESS, "--n", "777", "--seed", "5", "--out", out)
+    assert rc == 0
+    summary = json.loads(text)
+    rc, checked, _ = run(capsys, "check-data", out)
+    assert rc == 0
+    checked = json.loads(checked)
+    assert checked["n"] == 777
+    assert summary["data_inequality"] == {
+        k: v for k, v in checked.items() if k not in ("command", "path", "n")
+    }
+    data = read_outcome_csv(out)
+    assert summary["estimates"] == {
+        "c_ab": cross_correlation(data.a, data.b).value,
+        "c_abp": cross_correlation(data.a, data.bp).value,
+        "c_bbp": cross_correlation(data.b, data.bp).value,
+    }
 
 
 def test_simulate_degrees_flag(tmp_path, capsys):

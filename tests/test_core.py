@@ -17,7 +17,6 @@ from bellwigner import (
     JointProbabilities,
     LengthMismatchError,
     Mode,
-    Outcome,
 )
 from conftest import datasets
 
@@ -26,18 +25,6 @@ DATA_SETS = pytest.mark.parametrize("cls", [DataSetTriple, DataSetQuad])
 
 def width(cls):
     return len(fields(cls))
-
-
-def test_outcome_members_are_plain_integers():
-    assert Outcome.PLUS * Outcome.MINUS == -1
-    assert Outcome(1) is Outcome.PLUS
-    assert Outcome(-1) is Outcome.MINUS
-
-
-@pytest.mark.parametrize("bad", [0, 2, -2, 17])
-def test_outcome_rejects_other_integers(bad):
-    with pytest.raises(ValueError):
-        Outcome(bad)
 
 
 def test_dataset_from_columns():
@@ -141,7 +128,6 @@ def test_angle_config_requires_convention_instance():
 
 def test_joint_probabilities_accepts_normalized_cells():
     jp = JointProbabilities(0.25, 0.25, 0.25, 0.25)
-    assert jp.symmetric
     assert jp.correlation == 0.0
 
 
@@ -153,10 +139,6 @@ def test_joint_probabilities_rejects_out_of_range():
 def test_joint_probabilities_rejects_unnormalized():
     with pytest.raises(ValueError, match="sum"):
         JointProbabilities(0.25, 0.25, 0.25, 0.2)
-
-
-def test_joint_probabilities_symmetry_flag():
-    assert not JointProbabilities(0.4, 0.25, 0.25, 0.1).symmetric
 
 
 def test_report_from_sides_computes_margin_and_flag():

@@ -19,7 +19,7 @@ from bellwigner import (
     data_bell_margin_4,
     quad_brackets,
 )
-from bellwigner.data_inequality import _triple_sums
+from bellwigner.data_inequality import _pattern_codes, _triple_sums
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
@@ -156,6 +156,15 @@ def test_counts_of_two_halves_add_to_the_whole(rows, data):
              for part in (rows[:cut], rows[cut:])]
     assert parts[0] + parts[1] == whole
     assert whole.n == len(rows) and whole.width == 3
+
+
+@pytest.mark.parametrize("rows", [ALL_TRIPLES, ALL_QUADS], ids=["triple", "quad"])
+def test_pattern_codes_put_the_first_column_in_the_highest_bit(rows):
+    width = len(rows[0])
+    codes = _pattern_codes(np.array(rows, dtype=np.int8).T)
+    assert codes.dtype == np.uint8
+    expected = [sum(1 << (width - 1 - j) for j, v in enumerate(row) if v > 0) for row in rows]
+    assert codes.tolist() == expected
 
 
 def test_sums_from_counts_equal_column_products():

@@ -9,6 +9,7 @@ columns, and hold no cells while it reads.
 """
 
 import csv
+import gc
 import json
 import tracemalloc
 from array import array
@@ -203,6 +204,20 @@ def test_error_in_third_chunk_reports_its_line(tmp_path, bad, error):
     assert assert_same_outcome(path, 20) == (error, 7)
 
 
+def test_hand_over_leaves_the_callers_file_open(tmp_path):
+    # the text wrapper lent to the csv loop must not close the file when collected
+    path = tmp_path / "d.csv"
+    path.write_bytes(b'a,b,bp\n+1,-1,+1\n"+1",-1,+1\n')
+    cells = array("b")
+    with open(path, "rb") as fh:
+        fh.readline()
+        with mock.patch.object(datafile, "_CHUNK_BYTES", 9):
+            datafile._read_body(fh, 3, cells)
+        gc.collect()
+        assert not fh.closed
+    assert cells.tolist() == [1, -1, 1] * 2
+
+
 @pytest.mark.parametrize("chunk_bytes", [1, 7, 9, 10, 1 << 16])
 def test_fast_grammar_never_reaches_csv_loop(tmp_path, chunk_bytes):
     path = tmp_path / "d.csv"
@@ -285,5 +300,17 @@ def test_writer_matches_csv_writer(tmp_path_factory, rows, slice_rows):
     data = DataSetTriple.from_trials(rows)
     reference_write(out / "reference.csv", data)
     with mock.patch.object(datafile, "_WRITE_ROWS", slice_rows):
-        write_triples_csv(str(out / "table.csv"), data)
+        counts = write_triples_csv(str(out / "table.csv"), data)
     assert (out / "table.csv").read_bytes() == (out / "reference.csv").read_bytes()
+    assert counts == PatternCounts.of(data)
+
+
+def test_written_counts_equal_the_counts_read_back(tmp_path):
+    # the writer's counts come from the codes it wrote, slice by slice
+    rng = np.random.default_rng(3)
+    data = DataSetTriple(*(rng.integers(0, 2, size=(3, 1000), dtype=np.int8) * 2 - 1))
+    path = str(tmp_path / "d.csv")
+    with mock.patch.object(datafile, "_WRITE_ROWS", 97):
+        counts = write_triples_csv(path, data)
+    assert counts == read_pattern_counts(path)
+    assert counts.n == 1000

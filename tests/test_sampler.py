@@ -184,19 +184,71 @@ def test_draws_do_not_depend_on_slice_size(monkeypatch):
 
 
 def test_sampled_columns_are_not_copied():
-    # the sampler hands its drawn arrays over read-only, so the data set
-    # keeps them rather than a second copy
+    # the sampler hands its drawn array over read-only, so the data set
+    # keeps views of it rather than a second copy
     drawn = []
-    real = sampler._plus_outcomes
+    real = sampler._sample_columns
 
     def recording(*args):
         drawn.append(real(*args))
         return drawn[-1]
 
-    with mock.patch.object(sampler, "_plus_outcomes", recording):
+    with mock.patch.object(sampler, "_sample_columns", recording):
         data = sample_dataset(CFG, 100, make_rng(2))
-    for out, col in zip(drawn, (data.a, data.b, data.bp), strict=True):
-        assert np.shares_memory(out, col)
+    (out,) = drawn
+    for row, col in zip(out, (data.a, data.b, data.bp), strict=True):
+        assert np.shares_memory(row, col)
+
+
+def _visited(n, rng, conditionals):
+    # each slice's (lo, copy of its bool columns), in the order the driver returns them
+    return sampler._sample_slices(n, rng, conditionals, lambda lo, columns: (lo, columns.copy()))
+
+
+def test_slice_results_come_back_in_slice_order():
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        slices = _visited(50, make_rng(8), [(0.2, 0.7)])
+    assert [(lo, c.shape) for lo, c in slices] == [(lo, (2, min(7, 50 - lo))) for lo in range(0, 50, 7)]
+
+
+def test_non_philox_generator_is_one_slice_of_all_trials():
+    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
+        slices = _visited(50, np.random.Generator(np.random.PCG64(5)), [(0.2, 0.7)])
+    assert [(lo, c.shape) for lo, c in slices] == [(0, (2, 50))]
+
+
+@pytest.mark.parametrize("width", [1, 2, 3, 4])
+def test_driver_leaves_the_generator_after_every_column(width):
+    # a and each conditional column take n draws apiece, whatever the slicing
+    n, seed = 23, 31
+    reference = make_rng(seed)
+    reference.random(width * n)
+    rng = make_rng(seed)
+    with mock.patch.multiple(sampler, _DRAW_SLICE=5, _THREADS=3):
+        _visited(n, rng, [(0.3, 0.6)] * (width - 1))
+    assert rng.random(8).tolist() == reference.random(8).tolist()
+
+
+def test_certain_conditionals_copy_or_flip_a():
+    # P(+1 | a) of 0 or 1 makes a conditional column a function of a
+    with mock.patch.multiple(sampler, _DRAW_SLICE=16, _THREADS=2):
+        slices = _visited(200, make_rng(12), [(0.0, 1.0), (1.0, 0.0)])
+    a, same, flipped = np.concatenate([c for _, c in slices], axis=1)
+    assert a.dtype == np.bool_
+    assert 0 < np.count_nonzero(a) < 200
+    assert np.array_equal(same, a)
+    assert np.array_equal(flipped, ~a)
+
+
+def test_sampled_columns_are_read_only_plus_minus_one():
+    with mock.patch.multiple(sampler, _DRAW_SLICE=9, _THREADS=2):
+        out = sampler._sample_columns(40, make_rng(6), [(0.2, 0.7), (0.9, 0.1)])
+    assert out.shape == (3, 40)
+    assert out.dtype == np.int8
+    assert not out.flags.writeable
+    assert set(np.unique(out).tolist()) == {-1, 1}
+    with pytest.raises(ValueError):
+        out[0, 0] = 1
 
 
 def _serial_plus_outcomes(n, rng, p, a=None, p_a_plus=0.0):
@@ -207,6 +259,12 @@ def _serial_plus_outcomes(n, rng, p, a=None, p_a_plus=0.0):
         p_plus = p if a is None else np.where(a[s] == 1, p_a_plus, p)
         out[s] = np.where(rng.random(s.stop - lo) < p_plus, np.int8(1), np.int8(-1))
     return out
+
+
+def _serial_sample_columns(n, rng, conditionals):
+    # whole columns drawn one after another: the fair a, then each given a
+    a = _serial_plus_outcomes(n, rng, 0.5)
+    return np.array([a] + [_serial_plus_outcomes(n, rng, p, a, q) for p, q in conditionals])
 
 
 def _draws(cfg, n, rng):
@@ -244,7 +302,7 @@ def test_threaded_draws_match_serial_reference(
 ):
     # more threads than CPUs, each filling many tiny slices, switching often
     cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
-    with mock.patch.object(sampler, "_plus_outcomes", _serial_plus_outcomes):
+    with mock.patch.object(sampler, "_sample_columns", _serial_sample_columns):
         expected = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -262,7 +320,7 @@ def test_non_philox_generator_draws_serially():
     def pcg():
         return np.random.Generator(np.random.PCG64(5))
 
-    with mock.patch.object(sampler, "_plus_outcomes", _serial_plus_outcomes):
+    with mock.patch.object(sampler, "_sample_columns", _serial_sample_columns):
         expected = _draws(CFG, 50, pcg())
     with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
         assert _draws(CFG, 50, pcg()) == expected
