@@ -7,16 +7,20 @@ setting difference, a perfectly entangled pair gives
     C(x, y) = 4 P++ - 1 = -cos(2 k d).
 
 The third pair (b, b') is measured on the same side, so its statistics come
-from conditioning both outcomes on the shared fair +-1 outcome at setting a:
+from conditioning both outcomes on the shared fair +-1 outcome at setting a.
+That is a joint distribution q over the 8 sign patterns of (a, b, b'):
 
-    P++(b,b') = (1/2)[sin^2(k(b-a)) sin^2(k(b'-a)) + cos^2(k(b-a)) cos^2(k(b'-a))]
-    P+-(b,b') = (1/2)[sin^2(k(b-a)) cos^2(k(b'-a)) + cos^2(k(b-a)) sin^2(k(b'-a))]
-    C(b,b')   = cos(2k(b-a)) cos(2k(b'-a)).
+    q(a, b, b') = (1/2) P(b | a) P(b' | a),
+    P(b | a)    = sin^2(k(b-a)) if b = a else cos^2(k(b-a)),
+
+and the third pair's P(+,+), P(+,-) and the Wigner slack are sums of its
+entries; its correlation is C(b,b') = cos(2k(b-a)) cos(2k(b'-a)).
 
 PAPER mode feeds that conditional third pair into the Bell and Wigner
-inequalities (the margins are then nonnegative for every setting choice);
-NAIVE mode substitutes the unconditional forms instead, which is what makes
-the textbook violations appear. The margin helpers are written with numpy
+inequalities. It is the exact data identity applied to q in place of
+counts, so the margins are nonnegative for every setting choice. NAIVE mode
+substitutes the unconditional forms instead, which is what makes the
+textbook violations appear. The margin helpers are written with numpy
 ufuncs so the sweep module can evaluate them on whole angle grids.
 """
 
@@ -35,6 +39,7 @@ from .core import (
     JointProbabilities,
     Mode,
 )
+from .data_inequality import sign_patterns
 
 
 def half_angle_factor(convention: AngleConvention) -> float:
@@ -81,18 +86,25 @@ class ThirdPairProbabilities(NamedTuple):
     ppm: float
 
 
-def third_pair_probabilities(cfg: AngleConfig) -> ThirdPairProbabilities:
-    """P(+,+) and P(+,-) of the (b, b') pair, conditioned through setting a.
+def pattern_probabilities(a, b, bp, k: float) -> np.ndarray:
+    """The model's probability q of each sign pattern of (a, b, b'); broadcasts over arrays.
 
-    ppp + ppm = 1/2 exactly: each B-side sign pattern conditions on the fair
-    +-1 outcome at a.
+    The pattern axis comes first, in PatternCounts order: a is a fair +-1,
+    then b and b' are drawn independently given it, each equal to a with
+    probability sin^2(k d), d being its setting minus a.
     """
-    k = half_angle_factor(cfg.convention)
-    s2b, c2b = sin2_cos2(k, cfg.b - cfg.a)
-    s2bp, c2bp = sin2_cos2(k, cfg.bp - cfg.a)
-    ppp = 0.5 * (s2b * s2bp + c2b * c2bp)
-    ppm = 0.5 * (s2b * c2bp + c2b * s2bp)
-    return ThirdPairProbabilities(float(ppp), float(ppm))
+    s2b, c2b = sin2_cos2(k, b - a)
+    s2bp, c2bp = sin2_cos2(k, bp - a)
+    return np.array([
+        0.5 * (s2b if sb == sa else c2b) * (s2bp if sbp == sa else c2bp)
+        for sa, sb, sbp in sign_patterns(3)
+    ])
+
+
+def third_pair_probabilities(cfg: AngleConfig) -> ThirdPairProbabilities:
+    """P(+,+) and P(+,-) of the (b, b') pair, conditioned through setting a."""
+    q = pattern_probabilities(cfg.a, cfg.b, cfg.bp, half_angle_factor(cfg.convention))
+    return ThirdPairProbabilities(float(q[3] + q[7]), float(q[2] + q[6]))
 
 
 def third_correlation(cfg: AngleConfig) -> float:
@@ -103,6 +115,7 @@ def third_correlation(cfg: AngleConfig) -> float:
 
 def bell_margin_parts(a, b, bp, k: float, mode: Mode):
     """(lhs, rhs) of the correlation Bell inequality; broadcasts over arrays."""
+    _check_margin_mode(mode)
     c_ab = -np.cos(2.0 * k * (b - a))
     c_abp = -np.cos(2.0 * k * (bp - a))
     lhs = np.abs(c_ab - c_abp)
@@ -121,19 +134,16 @@ def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     setting corresponds to a -1 at b'; in PAPER mode the bound is therefore
     the conditional P(+,-) of the (b, b') pair.
     """
+    _check_margin_mode(mode)
     s2b, c2b = sin2_cos2(k, b - a)
     s2bp, c2bp = sin2_cos2(k, bp - a)
     lhs = 0.5 * s2b - 0.5 * s2bp
     if mode is Mode.PAPER:
-        rhs = 0.5 * (s2b * c2bp + c2b * s2bp)
+        # q(a-, b+, b'-) + q(a+, b+, b'-), rounded as third_pair_probabilities rounds it
+        rhs = 0.5 * c2b * s2bp + 0.5 * s2b * c2bp
     else:
         rhs = 0.5 * np.sin(k * (b - bp)) ** 2
     return lhs, rhs
-
-
-def wigner_slack_parts(a, b, bp, k: float):
-    """Closed-form slack 2 sin^2(k(a-b')) cos^2(k(a-b)); broadcasts over arrays."""
-    return 2.0 * np.sin(k * (a - bp)) ** 2 * np.cos(k * (a - b)) ** 2
 
 
 def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
@@ -142,7 +152,6 @@ def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
     PAPER mode uses the conditional third correlation, NAIVE the -cos
     substitution (rhs = 1 + C(b,b')).
     """
-    _check_margin_mode(mode)
     k = half_angle_factor(cfg.convention)
     lhs, rhs = bell_margin_parts(cfg.a, cfg.b, cfg.bp, k, mode)
     return InequalityReport.from_sides(
@@ -152,7 +161,6 @@ def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
 
 def wigner_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
     """Wigner inequality P++(a,b) - P++(a,b') <= bound on the third pair."""
-    _check_margin_mode(mode)
     k = half_angle_factor(cfg.convention)
     lhs, rhs = wigner_margin_parts(cfg.a, cfg.b, cfg.bp, k, mode)
     return InequalityReport.from_sides(
@@ -163,8 +171,9 @@ def wigner_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
 def wigner_slack(cfg: AngleConfig) -> float:
     """Nonnegative slack of the PAPER-mode Wigner inequality.
 
-    Equals exactly twice (rhs - lhs) of :func:`wigner_margin` in PAPER mode;
-    the closed form makes the nonnegativity visible by inspection.
+    Equals twice (rhs - lhs) of :func:`wigner_margin` in PAPER mode. It is
+    twice the model probability of the patterns (a+, b-, b'+) and
+    (a-, b+, b'-), so its nonnegativity is visible by inspection.
     """
-    k = half_angle_factor(cfg.convention)
-    return float(wigner_slack_parts(cfg.a, cfg.b, cfg.bp, k))
+    q = pattern_probabilities(cfg.a, cfg.b, cfg.bp, half_angle_factor(cfg.convention))
+    return float(2 * (q[2] + q[5]))

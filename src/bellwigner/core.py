@@ -243,8 +243,6 @@ class ConvergenceRecord:
     n_samples: int
     estimate: float
     analytic: float
-    abs_error: float
-    std_error: float
     seed: int
 
     def __post_init__(self) -> None:
@@ -252,21 +250,15 @@ class ConvergenceRecord:
             raise ValueError("n_samples must be >= 1")
         if self.seed < 0:
             raise ValueError("seed must be a non-negative integer")
-        if self.abs_error != abs(self.estimate - self.analytic):
-            raise ValueError("abs_error must equal |estimate - analytic|")
-        expected_se = math.sqrt(max(0.0, 1.0 - self.estimate**2) / self.n_samples)
-        if self.std_error != expected_se:
-            raise ValueError("std_error must equal sqrt((1 - estimate^2)/n), clamped at 0")
 
-    @classmethod
-    def from_estimate(
-        cls, n_samples: int, estimate: float, analytic: float, seed: int
-    ) -> "ConvergenceRecord":
-        if n_samples < 1:
-            raise ValueError("n_samples must be >= 1")
-        abs_error = abs(estimate - analytic)
-        std_error = math.sqrt(max(0.0, 1.0 - estimate**2) / n_samples)
-        return cls(n_samples, estimate, analytic, abs_error, std_error, seed)
+    @property
+    def abs_error(self) -> float:
+        return abs(self.estimate - self.analytic)
+
+    @property
+    def std_error(self) -> float:
+        """Standard error sqrt((1 - estimate^2)/n) of a +-1 mean, clamped at 0."""
+        return math.sqrt(max(0.0, 1.0 - self.estimate**2) / self.n_samples)
 
     def as_dict(self) -> dict:
         return {

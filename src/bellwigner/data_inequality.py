@@ -167,16 +167,17 @@ class PatternCounts:
         return np.array_equal(self.counts, other.counts)
 
 
-# Pattern p's +-1 outcomes are entry p of itertools.product((-1, 1), repeat=width).
+def sign_patterns(width: int) -> list[tuple[int, ...]]:
+    """The +-1 outcomes of each pattern, in header order, indexed as in PatternCounts."""
+    return list(itertools.product((-1, 1), repeat=width))
+
+
 # Rows: each triple pattern's term in sum(ab), sum(ab') and sum(bb').
 _TRIPLE_PRODUCTS = np.array(
-    [[a * b, a * bp, b * bp] for a, b, bp in itertools.product((-1, 1), repeat=3)], dtype=np.int64
+    [[a * b, a * bp, b * bp] for a, b, bp in sign_patterns(3)], dtype=np.int64
 ).T
-# Each quad pattern's four-set bracket, as in quad_brackets.
-_QUAD_BRACKETS = np.array(
-    [a * (b + bp) + ap * (b - bp) for a, ap, b, bp in itertools.product((-1, 1), repeat=4)],
-    dtype=np.int64,
-)
+# Each quad pattern's four-set bracket.
+_QUAD_BRACKETS = quad_brackets(DataSetQuad.from_trials(sign_patterns(4))).astype(np.int64)
 
 
 def _triple_sums(c: PatternCounts) -> tuple[int, int, int]:

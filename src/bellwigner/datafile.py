@@ -18,7 +18,7 @@ from array import array
 import numpy as np
 
 from .core import DataSetQuad, DataSetTriple, EmptyDataError
-from .data_inequality import PatternCounts, _pattern_codes
+from .data_inequality import PatternCounts, _pattern_codes, sign_patterns
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -240,14 +240,10 @@ def read_pattern_counts(path: str) -> PatternCounts:
     return fold.total
 
 
-_ROW_BYTES = np.array(
-    [
-        np.frombuffer(f"{a},{b},{bp}\n".encode(), dtype=np.uint8)
-        for a in ("-1", "+1")
-        for b in ("-1", "+1")
-        for bp in ("-1", "+1")
-    ]
-)
+_ROW_BYTES = np.array([
+    np.frombuffer(f"{a:+d},{b:+d},{bp:+d}\n".encode(), dtype=np.uint8)
+    for a, b, bp in sign_patterns(3)
+])
 _WRITE_ROWS = 1 << 16
 
 

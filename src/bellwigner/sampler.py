@@ -274,5 +274,5 @@ def convergence_study(
         if not _margin_3_from_sums(sab, sabp, sbbp, n).satisfied:
             raise RuntimeError("sampled data set failed the exact data identity")
         estimate = ExactCorrelation(sbbp, n).value
-        records.append(ConvergenceRecord.from_estimate(n, estimate, target, seed))
+        records.append(ConvergenceRecord(n, estimate, target, seed))
     return records

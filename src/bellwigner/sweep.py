@@ -58,8 +58,6 @@ def _margin_planes(
     mode: Mode,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) planes over (b, bp) for the a-grid index `ia`."""
-    if mode not in (Mode.PAPER, Mode.NAIVE):
-        raise ValueError(f"grid sweeps take Mode.PAPER or Mode.NAIVE, got {mode!r}")
     angles = grid_angles(resolution)
     b, bp = np.meshgrid(angles, angles, indexing="ij")
     k = half_angle_factor(convention)

@@ -35,7 +35,7 @@ from bellwigner import (
     violation_census,
     wigner_margin,
 )
-from bellwigner.analytic import wigner_margin_parts, wigner_slack_parts
+from bellwigner.analytic import pattern_probabilities, wigner_margin_parts
 from bellwigner.cli import main as cli_main
 
 SPIN = AngleConvention.SPIN
@@ -145,7 +145,8 @@ def test_criterion_5_wigner_slack_identity_on_grid():
     min_margin = np.inf
     for a in angles:
         lhs, rhs = wigner_margin_parts(a, b, bp, 0.5, Mode.PAPER)
-        slack = wigner_slack_parts(a, b, bp, 0.5)
+        q = pattern_probabilities(a, b, bp, 0.5)
+        slack = 2 * (q[2] + q[5])
         max_dev = max(max_dev, float(np.abs(2.0 * (rhs - lhs) - slack).max()))
         min_margin = min(min_margin, float((rhs - lhs).min()))
     assert max_dev < 1e-12

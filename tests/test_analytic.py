@@ -1,7 +1,8 @@
 import math
 
+import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 
 from bellwigner import (
     TOLERANCE,
@@ -11,6 +12,7 @@ from bellwigner import (
     Mode,
     bell_correlation,
     bell_margin,
+    grid_angles,
     half_angle_factor,
     joint_probability,
     third_correlation,
@@ -18,6 +20,8 @@ from bellwigner import (
     wigner_margin,
     wigner_slack,
 )
+from bellwigner.analytic import bell_margin_parts, pattern_probabilities, wigner_margin_parts
+from bellwigner.data_inequality import _TRIPLE_PRODUCTS
 from conftest import angles, configs, conventions
 
 SPIN = AngleConvention.SPIN
@@ -163,6 +167,13 @@ def test_bell_margin_rejects_exact_data_mode():
         bell_margin(WITNESS, Mode.EXACT_DATA)
 
 
+@pytest.mark.parametrize("parts", [bell_margin_parts, wigner_margin_parts])
+@pytest.mark.parametrize("mode", [Mode.EXACT_DATA, "paper"])
+def test_margin_parts_reject_modes_other_than_paper_or_naive(parts, mode):
+    with pytest.raises(ValueError, match="PAPER or"):
+        parts(0.0, 1.0, 2.0, 0.5, mode)
+
+
 def test_wigner_margin_paper_witness():
     r = wigner_margin(WITNESS, Mode.PAPER)
     assert r.kind is InequalityKind.WIGNER
@@ -187,6 +198,7 @@ def test_wigner_margin_lhs_nonpositive_when_a_equals_b(b, bp):
 
 
 @given(configs)
+@example(AngleConfig(1.6044707761031459e-161, 0.0, 0.0))  # subnormal sin^2 terms
 def test_wigner_paper_rhs_is_third_pair_ppm(cfg):
     r = wigner_margin(cfg, Mode.PAPER)
     assert r.rhs == third_pair_probabilities(cfg).ppm
@@ -212,3 +224,37 @@ def test_wigner_slack_is_twice_the_paper_margin(cfg):
     slack = wigner_slack(cfg)
     assert slack >= 0.0
     assert slack == pytest.approx(2 * (r.rhs - r.lhs), abs=TOLERANCE)
+
+
+@given(configs)
+def test_pattern_probabilities_reproduce_the_measured_pairs(cfg):
+    k = half_angle_factor(cfg.convention)
+    q = pattern_probabilities(cfg.a, cfg.b, cfg.bp, k).reshape(2, 2, 2)  # [a][b][b'], -1 first
+    assert q.min() >= 0.0
+    assert q.sum() == pytest.approx(1.0, abs=TOLERANCE)
+    for setting, other_axis in ((cfg.b, 2), (cfg.bp, 1)):
+        jp = joint_probability(cfg.a, setting, cfg.convention)
+        np.testing.assert_allclose(
+            q.sum(axis=other_axis), [[jp.mm, jp.mp], [jp.pm, jp.pp]], rtol=0, atol=TOLERANCE
+        )
+
+
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL], ids=["spin", "optical"])
+def test_paper_margins_are_the_data_identity_applied_to_the_model(convention):
+    # PAPER mode is the three-set data identity with the pattern counts
+    # replaced by the model's q. Each Bell half, (1 - sum bb') -+ (sum ab -
+    # sum ab'), is then a sum of q_p times a coefficient 0 or 4: nonnegative
+    # in floating point too, with no tolerance.
+    k = half_angle_factor(convention)
+    a, b, bp = np.meshgrid(*[grid_angles(60)] * 3, indexing="ij")
+    q = pattern_probabilities(a, b, bp, k)
+    sab, sabp, sbbp = np.tensordot(_TRIPLE_PRODUCTS, q, axes=1)
+    lhs, rhs = bell_margin_parts(a, b, bp, k, Mode.PAPER)
+    assert np.abs(np.abs(sab - sabp) - lhs).max() <= 1e-15
+    assert np.abs((1 - sbbp) - rhs).max() <= 1e-15
+    ab, abp, bbp = _TRIPLE_PRODUCTS
+    for sign in (1, -1):
+        assert np.tensordot((1 - bbp) - sign * (ab - abp), q, axes=1).min() >= 0.0
+    # the Wigner margin is q(a+, b-, b'+) + q(a-, b+, b'-)
+    lhs, rhs = wigner_margin_parts(a, b, bp, k, Mode.PAPER)
+    assert np.abs((rhs - lhs) - (q[2] + q[5])).max() <= 1e-15

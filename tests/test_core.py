@@ -178,19 +178,19 @@ def test_report_as_dict_schema():
     assert r.as_dict()["mode"] == "NAIVE"
 
 
-def test_convergence_record_factory():
-    r = ConvergenceRecord.from_estimate(400, estimate=-0.3, analytic=-0.25, seed=7)
+def test_convergence_record_derives_its_errors():
+    r = ConvergenceRecord(400, estimate=-0.3, analytic=-0.25, seed=7)
     assert r.abs_error == pytest.approx(0.05)
     assert r.std_error == pytest.approx(math.sqrt((1 - 0.09) / 400))
 
 
 def test_convergence_record_clamps_variance_at_zero():
-    r = ConvergenceRecord.from_estimate(10, estimate=1.0, analytic=1.0, seed=0)
+    r = ConvergenceRecord(10, estimate=1.0, analytic=1.0, seed=0)
     assert r.std_error == 0.0
 
 
-def test_convergence_record_rejects_inconsistent_errors():
-    with pytest.raises(ValueError, match="abs_error"):
-        ConvergenceRecord(100, -0.25, -0.25, 0.5, 0.0009682458365518543, 1)
+def test_convergence_record_rejects_bad_n_or_seed():
     with pytest.raises(ValueError, match="n_samples"):
-        ConvergenceRecord.from_estimate(0, 0.0, 0.0, seed=1)
+        ConvergenceRecord(0, 0.0, 0.0, seed=1)
+    with pytest.raises(ValueError, match="seed"):
+        ConvergenceRecord(1, 0.0, 0.0, seed=-1)

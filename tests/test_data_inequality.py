@@ -19,7 +19,7 @@ from bellwigner import (
     data_bell_margin_4,
     quad_brackets,
 )
-from bellwigner.data_inequality import _pattern_codes, _triple_sums
+from bellwigner.data_inequality import _pattern_codes, _triple_sums, sign_patterns
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
@@ -165,6 +165,12 @@ def test_pattern_codes_put_the_first_column_in_the_highest_bit(rows):
     assert codes.dtype == np.uint8
     expected = [sum(1 << (width - 1 - j) for j, v in enumerate(row) if v > 0) for row in rows]
     assert codes.tolist() == expected
+
+
+@pytest.mark.parametrize("width", [3, 4])
+def test_sign_patterns_are_in_pattern_code_order(width):
+    codes = _pattern_codes(np.array(sign_patterns(width), dtype=np.int8).T)
+    assert codes.tolist() == list(range(1 << width))
 
 
 def test_sums_from_counts_equal_column_products():

@@ -124,3 +124,17 @@ def test_check_data_output_bytes(tmp_path, monkeypatch, capsys, header, rows, li
         assert main(["check-data", "trials.csv", "--format", fmt]) == 0
         outputs.append(hashlib.sha256(capsys.readouterr().out.encode()).hexdigest())
     assert tuple(outputs) == digests
+
+
+@pytest.mark.parametrize(
+    "extra, digest",
+    [
+        ([], "1ce04dfba915b4e61f653913e2b3c16894c453c30e5c1c5d89d9157edd8ebeea"),
+        (["--angles=0.3,1.7,-2.2", "--convention", "optical", "--mode", "naive"],
+         "6e0a49931fddd3e15dc5eaa9f39c75e763e2e36e5e6ca0c1ff61563789da40dc"),
+    ],
+    ids=["defaults", "optical-naive"],
+)
+def test_analytic_output_bytes(capsys, extra, digest):
+    main(["analytic"] + extra)
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest

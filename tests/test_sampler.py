@@ -9,6 +9,7 @@ from hypothesis import given, settings
 import hypothesis.strategies as st
 
 from bellwigner import sampler
+from bellwigner.analytic import half_angle_factor, pattern_probabilities
 from bellwigner.data_inequality import PatternCounts, _triple_sums
 from bellwigner.sampler import _usable_cpus
 from bellwigner import (
@@ -26,6 +27,7 @@ from bellwigner import (
 
 CFG = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3)
 ALIGNED = AngleConfig(0.0, 0.0, 0.0)
+WITNESS = AngleConfig(0.0, 2 * math.pi / 3, math.pi / 3)
 
 
 def test_make_rng_is_reproducible_and_stream_separated():
@@ -93,6 +95,42 @@ def test_sample_dataset_marginals_converge():
     assert c3 == pytest.approx(third_correlation(CFG), abs=0.012)
     ppp_hat = np.mean((data.b == 1) & (data.bp == 1))
     assert ppp_hat == pytest.approx(3 / 16, abs=0.005)
+
+
+# P(chi^2 with 7 degrees of freedom > 40.52) = 1e-6
+CHI2_7_CRITICAL = 40.52
+MODEL_CHECK_ANGLES = [
+    (WITNESS.a, WITNESS.b, WITNESS.bp),
+    (0.4, 0.4, 1.3),  # b = a: the patterns with b != a have q = 0
+    *np.random.default_rng(2026).uniform(0.0, 2 * math.pi, (4, 3)).tolist(),
+]
+
+
+def _chi2_against_model(cfg, seed):
+    """Pearson chi^2 of 10^5 sampled pattern counts against n q, over patterns with q > 0."""
+    n = 100_000
+    counts = PatternCounts.of(sample_dataset(cfg, n, make_rng(seed))).counts
+    expected = n * pattern_probabilities(cfg.a, cfg.b, cfg.bp, half_angle_factor(cfg.convention))
+    possible = expected > 0
+    assert not counts[~possible].any()
+    return float(((counts - expected)[possible] ** 2 / expected[possible]).sum())
+
+
+@pytest.mark.parametrize("convention", list(AngleConvention), ids=lambda c: c.value)
+@pytest.mark.parametrize("seed, angles", enumerate(MODEL_CHECK_ANGLES))
+def test_sampled_patterns_fit_the_model(seed, angles, convention):
+    assert _chi2_against_model(AngleConfig(*angles, convention), seed) < CHI2_7_CRITICAL
+
+
+def test_model_fit_catches_a_wrong_conditional(monkeypatch):
+    real = sampler._conditionals
+
+    def b_ignores_a(cfg, *settings):
+        (_, b_after_plus), *rest = real(cfg, *settings)
+        return [(b_after_plus, b_after_plus), *rest]
+
+    monkeypatch.setattr(sampler, "_conditionals", b_ignores_a)
+    assert _chi2_against_model(WITNESS, 0) > CHI2_7_CRITICAL
 
 
 @settings(max_examples=30)
