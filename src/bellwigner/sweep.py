@@ -7,6 +7,12 @@ at index ia is the a = 0 plane rolled by ia along both axes. The census
 therefore evaluates one plane; record streams still walk every plane, one
 vectorized plane at a time, so a resolution-100 sweep streams instead of
 buffering 10^6 rows.
+
+The margins are functions of grid differences, so a record stream repeats
+its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
+cells). The CSV writer formats each distinct value once, through a cache
+bounded at a fixed entry count; the bytes are those of one repr per cell.
+Zeros are never cached, because 0.0 == -0.0 would give both the same text.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ from typing import IO, Iterator
 import numpy as np
 
 from .analytic import (
+    _check_margin_mode,
     bell_margin_parts,
     half_angle_factor,
     wigner_margin_parts,
@@ -29,6 +36,11 @@ from .core import AngleConfig, AngleConvention, InequalityKind, Mode
 VIOLATION_THRESHOLD = 1e-9
 
 SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
+
+# Entries kept by the record writer's float-to-text cache before it is
+# cleared whole. 2^13 holds most of an R=60 stream's distinct values for
+# about 1 MB; at larger resolutions the cache thrashes but stays bounded.
+_TEXT_CACHE_LIMIT = 1 << 13
 
 
 @dataclass(frozen=True)
@@ -50,6 +62,15 @@ def grid_angles(resolution: int) -> np.ndarray:
     return np.arange(resolution) * (2.0 * np.pi / resolution)
 
 
+def _margin_parts(kind: InequalityKind):
+    """The (lhs, rhs) kernel that grid sweeps evaluate for `kind`."""
+    if kind is InequalityKind.CORR_BELL:
+        return bell_margin_parts
+    if kind is InequalityKind.WIGNER:
+        return wigner_margin_parts
+    raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
+
+
 def _margin_planes(
     ia: int,
     resolution: int,
@@ -58,14 +79,10 @@ def _margin_planes(
     mode: Mode,
 ) -> tuple[np.ndarray, np.ndarray]:
     """(lhs, rhs) planes over (b, bp) for the a-grid index `ia`."""
+    parts = _margin_parts(kind)
     angles = grid_angles(resolution)
     b, bp = np.meshgrid(angles, angles, indexing="ij")
-    k = half_angle_factor(convention)
-    if kind is InequalityKind.CORR_BELL:
-        return bell_margin_parts(angles[ia], b, bp, k, mode)
-    if kind is InequalityKind.WIGNER:
-        return wigner_margin_parts(angles[ia], b, bp, k, mode)
-    raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
+    return parts(angles[ia], b, bp, half_angle_factor(convention), mode)
 
 
 def grid_sweep(
@@ -125,6 +142,27 @@ def iter_records(
         yield from zip(repeat(angles[ia]), repeat(angles[ib]), angles, lhs, rhs, margin)
 
 
+def _float_text():
+    """(get, miss) such that `get(x) or miss(x)` is repr(x).
+
+    miss formats x and stores it, clearing the cache whole once it holds
+    _TEXT_CACHE_LIMIT entries. Zeros are never stored: 0.0 == -0.0, so one
+    key would give both the same text.
+    """
+    cache: dict[float, str] = {}
+    limit = _TEXT_CACHE_LIMIT
+
+    def miss(x: float) -> str:
+        text = repr(x)
+        if x:
+            if len(cache) >= limit:
+                cache.clear()
+            cache[x] = text
+        return text
+
+    return cache.get, miss
+
+
 def write_records_csv(
     out: IO[str],
     resolution: int,
@@ -135,16 +173,26 @@ def write_records_csv(
     """Stream all grid records to `out` as CSV; returns the row count.
 
     Floats are written by repr, as the csv module writes them, so every
-    value round-trips.
+    value round-trips. Each distinct value is formatted once, through a
+    cache of at most _TEXT_CACHE_LIMIT entries that is cleared whole when
+    full (`_float_text`); the bytes are those of one repr per cell. Zeros
+    are never cached, since 0.0 == -0.0 would give -0.0 the text of 0.0.
+    The arguments are checked before anything is written.
     """
-    out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    # each call raises on a bad argument, before the header is written
     angles = [repr(x) for x in grid_angles(resolution).tolist()]
-    names = f"{kind.name},{mode.name}"
+    half_angle_factor(convention)
+    _margin_parts(kind)
+    _check_margin_mode(mode)
+    out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    tails = [f"{bp},{kind.name},{mode.name}," for bp in angles]
+    get, miss = _float_text()
     for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
         pre = f"{angles[ia]},{angles[ib]},"
         out.write("".join([
-            f"{pre}{bp},{names},{left!r},{right!r},{gap!r}\n"
-            for bp, left, right, gap in zip(angles, lhs, rhs, margin)
+            f"{pre}{tail}{get(left) or miss(left)},{get(right) or miss(right)},"
+            f"{get(gap) or miss(gap)}\n"
+            for tail, left, right, gap in zip(tails, lhs, rhs, margin)
         ]))
     return resolution**3
 

@@ -23,17 +23,23 @@ def sha256(path):
 
 
 @pytest.mark.parametrize(
-    "kind, mode, convention, digest",
+    "resolution, kind, mode, convention, digest",
     [
-        ("bell", "paper", "spin", "cf5da3f76b576dc3b5b6aa332f8c79ee5b4ad083dc406b96335500b86f6af0e6"),
-        ("wigner", "naive", "spin", "f74cd6ea5050202a6e9b92d623b312764b4f33dfbe39a1bf7bad69edc245d37a"),
-        ("wigner", "naive", "optical", "417248fc57255eb0d0bc7a1d760a6747681fc4f879f48b8853b23c176829f60f"),
+        (12, "bell", "paper", "spin", "cf5da3f76b576dc3b5b6aa332f8c79ee5b4ad083dc406b96335500b86f6af0e6"),
+        (12, "wigner", "naive", "spin", "f74cd6ea5050202a6e9b92d623b312764b4f33dfbe39a1bf7bad69edc245d37a"),
+        (12, "wigner", "naive", "optical", "417248fc57255eb0d0bc7a1d760a6747681fc4f879f48b8853b23c176829f60f"),
+        # R=60 streams hold 3k-12k distinct values, on both sides of the
+        # writer's 2^13-entry text cache; the spin digests are the benchmark's pins
+        (60, "wigner", "naive", "spin", "c88f6c5b6a7766cb8d514ce1aa1edc7fd6504893435289d0d13fd6f321fd6038"),
+        (60, "bell", "paper", "spin", "fb4f2cc5a0aa4e16438ff0b671f277314ff909d8e7187ddac3e451ca17fb45bd"),
+        (60, "wigner", "naive", "optical", "634dcc1964a84a5f0fa5655161a1aeb193e4e48ac24b3e7bc77d50a0546ab175"),
+        (60, "bell", "paper", "optical", "9245c3a295834a4e50073a766d9a6c09daf8448fbed89eedcc1107b4bf360753"),
     ],
 )
-def test_sweep_records_bytes(tmp_path, capsys, kind, mode, convention, digest):
+def test_sweep_records_bytes(tmp_path, capsys, resolution, kind, mode, convention, digest):
     out = tmp_path / "records.csv"
     main(["sweep", "--kind", kind, "--mode", mode, "--convention", convention,
-          "--resolution", "12", "--out", str(out)])
+          "--resolution", str(resolution), "--out", str(out)])
     capsys.readouterr()
     assert sha256(out) == digest
 

@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from bellwigner import (
     VIOLATION_THRESHOLD,
@@ -17,7 +19,9 @@ from bellwigner import (
     wigner_margin,
     write_records_csv,
 )
+from bellwigner import sweep
 from bellwigner.analytic import bell_margin_parts, half_angle_factor, wigner_margin_parts
+from bellwigner.sweep import SWEEP_CSV_COLUMNS, _float_text, _record_rows
 
 SPIN = AngleConvention.SPIN
 OPTICAL = AngleConvention.OPTICAL
@@ -120,6 +124,69 @@ def test_write_records_csv_streams_all_rows():
     assert cells[3] == "WIGNER"
     assert cells[4] == "NAIVE"
     assert float(cells[7]) == float(cells[6]) - float(cells[5])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        (1, SPIN, WIGNER, Mode.NAIVE),
+        (3, SPIN, WIGNER, Mode.EXACT_DATA),
+        (3, SPIN, InequalityKind.DATA_BELL_3, Mode.PAPER),
+        (3, "spin", WIGNER, Mode.NAIVE),
+    ],
+    ids=["resolution", "mode", "kind", "convention"],
+)
+def test_write_records_csv_checks_arguments_before_writing(args):
+    buf = io.StringIO()
+    with pytest.raises(ValueError):
+        write_records_csv(buf, *args)
+    assert buf.getvalue() == ""
+
+
+def reference_records_csv(out, resolution, convention, kind, mode):
+    """The record writer with one plain repr per cell."""
+    out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+    angles = [repr(x) for x in grid_angles(resolution).tolist()]
+    names = f"{kind.name},{mode.name}"
+    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
+        pre = f"{angles[ia]},{angles[ib]},"
+        out.write("".join([
+            f"{pre}{bp},{names},{left!r},{right!r},{gap!r}\n"
+            for bp, left, right, gap in zip(angles, lhs, rhs, margin)
+        ]))
+
+
+# None keeps the default cap; 1-3 entries make the cache clear all the time
+CACHE_LIMITS = [1, 2, 3, None]
+
+
+@pytest.mark.parametrize("limit", CACHE_LIMITS)
+@given(
+    resolution=st.integers(2, 13),
+    convention=st.sampled_from([SPIN, OPTICAL]),
+    kind=st.sampled_from([BELL, WIGNER]),
+    mode=st.sampled_from([Mode.PAPER, Mode.NAIVE]),
+)
+def test_cached_writer_matches_plain_repr_writer(limit, resolution, convention, kind, mode):
+    expected = io.StringIO()
+    reference_records_csv(expected, resolution, convention, kind, mode)
+    got = io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        if limit is not None:
+            mp.setattr(sweep, "_TEXT_CACHE_LIMIT", limit)
+        assert write_records_csv(got, resolution, convention, kind, mode) == resolution**3
+    assert got.getvalue() == expected.getvalue()
+
+
+@pytest.mark.parametrize("limit", CACHE_LIMITS)
+def test_float_text_is_repr(monkeypatch, limit):
+    if limit is not None:
+        monkeypatch.setattr(sweep, "_TEXT_CACHE_LIMIT", limit)
+    nan = float("nan")
+    values = [0.0, -0.0, nan, math.inf, -math.inf, 5e-324, 0.1 + 0.2, 1.0]
+    values = values + values[::-1] + [-0.0, 0.0, -0.0, -5e-324, 5e-324, 5e-324, nan]
+    get, miss = _float_text()
+    assert [get(x) or miss(x) for x in values] == [repr(x) for x in values]
 
 
 def test_census_patterns():
