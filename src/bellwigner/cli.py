@@ -37,9 +37,9 @@ from .data_inequality import (
     data_bell_margin_3,
     data_bell_margin_4,
 )
-from .datafile import DataParseError, read_pattern_counts, write_triples_csv
-from .datafile import read_outcome_csv  # noqa: F401  (still importable from here)
-from .sampler import convergence_study, make_rng, sample_dataset
+from .datafile import DataParseError, TriplesWriter, read_pattern_counts
+from .datafile import read_outcome_csv, write_triples_csv  # noqa: F401  (still importable from here)
+from .sampler import convergence_study, make_rng, stream_dataset
 from .sweep import VIOLATION_THRESHOLD, grid_sweep, write_records_csv
 
 DEFAULT_SEED = 42
@@ -86,7 +86,11 @@ def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
-    counts = write_triples_csv(args.out, sample_dataset(cfg, args.n, make_rng(args.seed)))
+    # each slice is written as soon as it is drawn, so --n costs time and disk, not memory
+    with open(args.out, "wb") as fh:
+        rows = TriplesWriter(fh)
+        stream_dataset(cfg, args.n, make_rng(args.seed), rows.write)
+    counts = rows.counts
     report = data_bell_margin_3(counts)
     c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in _triple_sums(counts))
     summary = {

@@ -247,17 +247,31 @@ _ROW_BYTES = np.array([
 _WRITE_ROWS = 1 << 16
 
 
+class TriplesWriter:
+    """Writes a triples file to the binary file ``fh``: the header, then rows slice by slice.
+
+    ``counts`` holds the pattern counts of the rows written so far.
+    """
+
+    def __init__(self, fh):
+        fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
+        self._fh = fh
+        self.counts = PatternCounts(np.zeros(8))
+
+    def write(self, columns) -> None:
+        """Write one row per trial of the aligned (a, b, bp) columns, +-1 or bool (True = +1)."""
+        code = _pattern_codes(columns)
+        self._fh.write(_ROW_BYTES[code])
+        self.counts += PatternCounts(np.bincount(code, minlength=8))
+
+
 def write_triples_csv(path: str, data: DataSetTriple) -> PatternCounts:
     """Write `data` as a triples file, cells +1/-1, one table row per trial.
 
     Returns the pattern counts of the rows written.
     """
-    counts = np.zeros(8, dtype=np.int64)
     with open(path, "wb") as fh:
-        fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
+        rows = TriplesWriter(fh)
         for lo in range(0, data.n, _WRITE_ROWS):
-            s = slice(lo, lo + _WRITE_ROWS)
-            code = _pattern_codes((data.a[s], data.b[s], data.bp[s]))
-            fh.write(_ROW_BYTES[code].tobytes())
-            counts += np.bincount(code, minlength=8)
-    return PatternCounts(counts)
+            rows.write([c[lo : lo + _WRITE_ROWS] for c in (data.a, data.b, data.bp)])
+    return rows.counts

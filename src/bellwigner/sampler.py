@@ -12,21 +12,25 @@ a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
 
-One driver draws every sample: trials come in slices, on one thread per
-usable CPU, and each slice's a column and conditional columns are drawn
-together and handed to a visitor, which stores them as int8 columns
-(`sample_dataset`, both matched-pairs arms) or folds them into the exact
-sums (the convergence study, whose memory therefore does not grow with the
-sample count). Each column of a slice comes from a copy of the generator's
-Philox state jumped ahead by counter to the slice's first draw of that
-column, so the outputs are bit-identical to serial drawing for any slice
-size and CPU count. A generator that is not Philox cannot jump ahead: it
-draws all trials as one slice, serially, in memory that grows with the
-sample count.
+One driver draws every sample: trials come in slices, drawn on one thread
+per usable CPU, and each slice's a column and conditional columns are
+drawn together and handed to a visitor in trial order. The visitor stores
+them as int8 columns (`sample_dataset`, both matched-pairs arms), folds
+them into the exact sums (the convergence study) or writes them out as
+file rows (`stream_dataset`, which the simulate command uses), so only the
+stored columns grow with the sample count. Each column of a slice is one
+run of raw 64-bit draws from a Philox jumped ahead by counter to the
+slice's first draw of that column, compared with an integer limit that
+gives exactly the outcomes of comparing ``random()`` with the probability;
+no float64 uniforms are made. So the outputs are bit-identical to serial
+drawing for any slice size and CPU count. A generator that is not Philox
+cannot jump ahead: it draws all trials as one slice, serially, with
+``random()``, in memory that grows with the sample count.
 """
 
 from __future__ import annotations
 
+import math
 import os
 import threading
 from typing import Sequence
@@ -52,9 +56,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# Trials are drawn in slices of this many, so no full-length float64 array
-# is built. With several threads, each holds one slice of uniforms at a time.
-_DRAW_SLICE = 1 << 19
+# Trials are drawn in slices of this many. Each thread holds one slice at a
+# time: its bool columns and the raw 64-bit draws of the column being drawn
+# (512 KiB for 2**16 trials).
+_DRAW_SLICE = 1 << 16
 
 
 def _usable_cpus() -> int:
@@ -68,14 +73,13 @@ def _usable_cpus() -> int:
 _THREADS = _usable_cpus()
 
 
-def _philox_at(state: dict, skip: int) -> np.random.Philox:
-    """A Philox generator at ``state`` moved on by ``skip`` 64-bit draws.
+def _philox_at(bg: np.random.Philox, state: dict, skip: int) -> np.random.Philox:
+    """Set ``bg`` to Philox ``state`` moved on by ``skip`` 64-bit draws; return it.
 
     ``advance(q)`` moves the counter by q blocks of four draws and empties
     the buffer, so the draws left in the buffer are taken first and the
     remainder past the last whole block is drawn.
     """
-    bg = np.random.Philox()
     bg.state = state
     head = min(skip, 4 - state["buffer_pos"])
     bg.random_raw(head)
@@ -117,9 +121,28 @@ def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
     The pending 32-bit half of a draw is kept, so a later 32-bit draw takes
     it just as it would have without the jump.
     """
-    end = _philox_at(state, skip).state
+    end = _philox_at(bg, state, skip).state
     end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])
     bg.state = end
+
+
+def _raw_limit(p: float) -> np.uint64 | None:
+    """The limit below which a raw 64-bit Philox draw has ``random() < p``; None if none.
+
+    ``random()`` is ``(raw >> 11) * 2**-53`` and ``raw >> 11`` is an integer,
+    so ``random() < p`` exactly when ``raw < ceil(p * 2**53) << 11``. For
+    p = 1 that limit is 2**64, above every draw and past uint64: None.
+    """
+    limit = math.ceil(p * 2**53) << 11
+    return None if limit >> 64 else np.uint64(limit)
+
+
+def _below(draws: np.ndarray, limit, out: np.ndarray, where=True) -> None:
+    """``out = draws < limit`` where ``where``; a ``None`` limit (p = 1) passes every draw."""
+    if limit is None:
+        np.copyto(out, True, where=where)
+    else:
+        np.less(draws, limit, out=out, where=where)
 
 
 def _conditionals(cfg: AngleConfig, *settings: float) -> list[tuple[float, float]]:
@@ -128,22 +151,26 @@ def _conditionals(cfg: AngleConfig, *settings: float) -> list[tuple[float, float
     return [sin2_cos2(k, s - cfg.a)[::-1] for s in settings]
 
 
-def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> list:
-    """Draw n trials in slices and return ``visit(lo, columns)`` of each, in slice order.
+def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> None:
+    """Draw n trials in slices and call ``visit(lo, columns)`` on each, in trial order.
 
     Per trial, a is +1 with probability 1/2 and column j of ``conditionals``
     is +1 with probability ``conditionals[j][a > 0]``. ``columns`` holds the
-    slice's bool columns (True = +1): a, then one per conditional. Trial i
-    of column j is set by the i-th uniform of column j in serial drawing
-    order, a's n draws first, so the outcomes do not depend on how the
-    trials are sliced.
+    slice's bool columns (True = +1): a, then one per conditional; they are
+    reused once ``visit`` returns. Trial i of column j is set by the i-th
+    draw of column j in serial drawing order, a's n draws first, so the
+    outcomes do not depend on how the trials are sliced.
 
     A Philox ``rng`` has its slices of ``_DRAW_SLICE`` trials drawn on
-    threads, each column from a copy of the state jumped ahead to that
-    column's first draw of the slice; ``rng`` is then left where serial
-    drawing would leave it. Any other generator cannot jump ahead, so it
-    draws all n trials as one slice, column after column: the same draws,
-    in O(n) memory.
+    threads, each column as raw 64-bit draws from the thread's own Philox
+    jumped ahead to that column's first draw of the slice and compared with
+    the integer limit of each probability (`_raw_limit`), which gives the
+    outcomes of comparing ``random()`` with it. Draws run in parallel, but
+    a thread visits its slice only after the slice before it was visited.
+    ``rng`` is then left where serial drawing would leave it. Any other
+    generator cannot jump ahead, so it draws all n trials as one slice,
+    column after column, with ``random()``: the same outcomes, in O(n)
+    memory.
     """
     bg = rng.bit_generator
     state = bg.state if isinstance(bg, np.random.Philox) else None
@@ -151,33 +178,51 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> lis
     starts = range(0, n, size)
     count = min(_THREADS, len(starts))
     width = 1 + len(conditionals)
-    results = [None] * len(starts)
+    # per column, the thresholds of an outcome of +1 after a = -1 and a = +1
+    thresholds = [(0.5, 0.5), *conditionals]
+    if state is not None:
+        thresholds = [tuple(map(_raw_limit, pair)) for pair in thresholds]
+    turn = threading.Condition()
+    next_visit = 0
+    failed = False
 
     def work(t: int) -> None:
-        u = np.empty(size)
+        nonlocal next_visit, failed
+        own = None if state is None else np.random.Philox()
+        u = np.empty(size) if state is None else None
         cols = np.empty((width, size), dtype=np.bool_)
-        for i in range(t, len(starts), count):
-            lo = starts[i]
-            m = min(n - lo, size)
-            um, slice_cols = u[:m], cols[:, :m]
-            a = slice_cols[0]
-            for j, col in enumerate(slice_cols):
-                if state is None:
-                    rng.random(out=um)
-                else:
-                    np.random.Generator(_philox_at(state, j * n + lo)).random(out=um)
-                if j == 0:
-                    np.less(um, 0.5, out=col)
-                else:
-                    p_a_minus, p_a_plus = conditionals[j - 1]
-                    np.less(um, p_a_minus, out=col)
-                    np.less(um, p_a_plus, out=col, where=a)
-            results[i] = visit(lo, slice_cols)
+        try:
+            for i in range(t, len(starts), count):
+                lo = starts[i]
+                m = min(n - lo, size)
+                slice_cols = cols[:, :m]
+                a = slice_cols[0]
+                for j, (col, (p_a_minus, p_a_plus)) in enumerate(zip(slice_cols, thresholds)):
+                    if state is None:
+                        draws = rng.random(out=u[:m])
+                    else:
+                        draws = _philox_at(own, state, j * n + lo).random_raw(m)
+                    _below(draws, p_a_minus, col)
+                    if j:
+                        _below(draws, p_a_plus, col, where=a)
+                with turn:
+                    turn.wait_for(lambda: next_visit == i or failed)
+                    if failed:
+                        return
+                visit(lo, slice_cols)
+                with turn:
+                    next_visit += 1
+                    turn.notify_all()
+        except BaseException:
+            # wake the threads waiting for this slice's visit, so they stop
+            with turn:
+                failed = True
+                turn.notify_all()
+            raise
 
     _run_threads(work, count)
     if state is not None:
         _leave_at(bg, state, width * n)
-    return results
 
 
 def _sample_columns(n: int, rng: np.random.Generator, conditionals) -> np.ndarray:
@@ -202,23 +247,31 @@ def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSe
     return DataSetTriple(*_sample_columns(n, rng, _conditionals(cfg, cfg.b, cfg.bp)))
 
 
-def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, without its columns.
+def stream_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator, visit) -> None:
+    """Draw the trials of ``sample_dataset(cfg, n, rng)`` slice by slice, keeping none.
 
-    Each slice is folded into its sums as soon as it is drawn, so a Philox
-    ``rng`` holds one slice of buffers per thread at any n.
+    ``visit(columns)`` is called on each slice in trial order, ``columns``
+    being the slice's bool (a, b, b') rows, True = +1, valid only during the
+    call. A Philox ``rng`` holds a slice of draws per thread at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
+    _sample_slices(n, rng, _conditionals(cfg, cfg.b, cfg.bp), lambda lo, columns: visit(columns))
 
-    def fold(lo: int, columns: np.ndarray) -> tuple[int, int, int]:
+
+def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[int, int, int]:
+    """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, without its columns."""
+    sums = [0, 0, 0]
+
+    def fold(columns: np.ndarray) -> None:
         a, b, bp = columns
         m = a.shape[0]
-        # a product of two +-1 outcomes is +1 where they agree
-        return tuple(2 * int(np.count_nonzero(x == y)) - m for x, y in ((a, b), (a, bp), (b, bp)))
+        for k, (x, y) in enumerate(((a, b), (a, bp), (b, bp))):
+            # a product of two +-1 outcomes is +1 where they agree
+            sums[k] += 2 * int(np.count_nonzero(x == y)) - m
 
-    slices = _sample_slices(n, rng, _conditionals(cfg, cfg.b, cfg.bp), fold)
-    return tuple(sum(column) for column in zip(*slices))
+    stream_dataset(cfg, n, rng, fold)
+    return tuple(sums)
 
 
 def matched_pairs_estimate(

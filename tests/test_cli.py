@@ -4,13 +4,16 @@ import math
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
-from bellwigner import cross_correlation
+from bellwigner import AngleConfig, cross_correlation, data_bell_margin_3, make_rng, sample_dataset
+from bellwigner import sampler
 from bellwigner.cli import main
-from bellwigner.datafile import read_outcome_csv
+from bellwigner.datafile import read_outcome_csv, write_triples_csv
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
 
@@ -304,9 +307,8 @@ def test_convergence_json_output(tmp_path, capsys):
     "argv",
     [
         ["sweep", "--resolution", "2000000"],
-        ["simulate", "--n", "100000000000000", "--out", "unused.csv"],
     ],
-    ids=["sweep", "simulate"],
+    ids=["sweep"],
 )
 def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv):
     # each size fails at its first allocation, so nothing large is ever touched
@@ -315,6 +317,36 @@ def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv
     assert rc == 2
     assert err.startswith("error:")
     assert "Traceback" not in err
+
+
+def test_streamed_simulate_writes_the_sampled_data_set(tmp_path, capsys):
+    # slices end inside the file and three threads draw ahead, yet the rows
+    # land in trial order: the bytes of writing the whole sampled data set
+    cfg = AngleConfig(0.0, 2 * math.pi / 3, math.pi / 3)
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        rc, out, _ = run(capsys, "simulate", "--n", "1000", "--seed", "5", "--out", str(tmp_path / "s.csv"))
+        expected = write_triples_csv(str(tmp_path / "w.csv"), sample_dataset(cfg, 1000, make_rng(5)))
+    assert rc == 0
+    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+    assert json.loads(out)["data_inequality"] == data_bell_margin_3(expected).as_dict()
+
+
+def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
+    # whole int8 columns would take 6 MB at n = 2e6 and 12 MB at 4e6; the
+    # streamed rows hold a few slices per thread at any n
+    out = str(tmp_path / "s.csv")
+    with mock.patch.multiple(sampler, _DRAW_SLICE=1 << 12, _THREADS=4):
+        run(capsys, "simulate", "--n", "10000", "--out", out)  # warm-up
+        for n in (2_000_000, 4_000_000):
+            tracemalloc.start()
+            try:
+                rc, _, _ = run(capsys, "simulate", "--n", str(n), "--out", out)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert rc == 0
+            assert peak < 2 * 2**20, (n, peak)
+    assert os.path.getsize(out) == len("a,b,bp\n") + 9 * 4_000_000
 
 
 def test_convergence_rejects_bad_n_list(capsys):

@@ -51,6 +51,18 @@ def test_simulate_file_bytes(tmp_path, capsys):
     assert sha256(out) == "2f388b838b97403c239395d16b1e34731f824281092ad13ea0f484abaf375dc0"
 
 
+def test_simulate_multi_slice_bytes(tmp_path, monkeypatch, capsys):
+    # 200,000 trials span several draw slices, so the file and its summary
+    # pin the order in which slices are written
+    monkeypatch.chdir(tmp_path)
+    assert main(["simulate", "--n", "200000", "--seed", "42", "--out", "sim.csv"]) == 0
+    summary = capsys.readouterr().out
+    assert sha256(tmp_path / "sim.csv") == "b2f7d58c4710ae4ed645c4b80cc4c385cc6ee1bc0a628c7658c45525f6c4c422"
+    assert hashlib.sha256(summary.encode()).hexdigest() == (
+        "db2799fac5af3f267b181a6d6a419b8bf67e3646780a38ddf2de41d6b55dede0"
+    )
+
+
 @pytest.mark.parametrize(
     "extra, digest",
     [
@@ -61,7 +73,7 @@ def test_simulate_file_bytes(tmp_path, capsys):
     ids=["csv", "optical-json"],
 )
 def test_convergence_output_bytes(tmp_path, capsys, extra, digest):
-    # the sample counts fall on both sides of the 2**19-trial draw slice
+    # the sample counts fall on both sides of 2**19 and span many draw slices
     out = tmp_path / "convergence.out"
     argv = ["convergence", "--n-list", "1,524287,524288,1048577,3000001", "--seed", "1"]
     assert main(argv + extra + ["--out", str(out)]) == 0

@@ -1,5 +1,7 @@
 import math
 import sys
+import threading
+import time
 import tracemalloc
 from unittest import mock
 
@@ -238,15 +240,56 @@ def test_sampled_columns_are_not_copied():
         assert np.shares_memory(row, col)
 
 
-def _visited(n, rng, conditionals):
-    # each slice's (lo, copy of its bool columns), in the order the driver returns them
-    return sampler._sample_slices(n, rng, conditionals, lambda lo, columns: (lo, columns.copy()))
+def _visited(n, rng, conditionals, pause_at=None):
+    """Each slice's (lo, copy of its bool columns), in the order the driver visits them.
+
+    The visit of the slice at ``pause_at`` sleeps first, so the other
+    threads finish drawing their slices while it waits.
+    """
+    seen = []
+
+    def record(lo, columns):
+        if lo == pause_at:
+            time.sleep(0.05)
+        seen.append((lo, columns.copy()))
+
+    sampler._sample_slices(n, rng, conditionals, record)
+    return seen
 
 
-def test_slice_results_come_back_in_slice_order():
+def test_slices_are_visited_in_trial_order():
+    # threads draw ahead while the first visit sleeps, yet visits stay in order
     with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        slices = _visited(50, make_rng(8), [(0.2, 0.7)])
+        slices = _visited(50, make_rng(8), [(0.2, 0.7)], pause_at=0)
     assert [(lo, c.shape) for lo, c in slices] == [(lo, (2, min(7, 50 - lo))) for lo in range(0, 50, 7)]
+
+
+def test_a_failing_visit_stops_every_thread():
+    # the third slice's visit raises while the other threads wait for their
+    # turn or draw ahead; all of them must finish and the caller gets the error
+    visited = []
+    outcome = []
+
+    def visit(lo, columns):
+        if lo == 14:
+            raise MemoryError("slice 3")
+        visited.append(lo)
+
+    def call():
+        try:
+            sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], visit)
+        except MemoryError as exc:
+            outcome.append(exc)
+
+    before = threading.active_count()
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        caller = threading.Thread(target=call, daemon=True)
+        caller.start()
+        caller.join(timeout=30)
+    assert not caller.is_alive(), "the driver hung after a visit failed"
+    assert [str(exc) for exc in outcome] == ["slice 3"]
+    assert visited == [0, 7]
+    assert threading.active_count() == before
 
 
 def test_non_philox_generator_is_one_slice_of_all_trials():
@@ -362,6 +405,53 @@ def test_non_philox_generator_draws_serially():
         expected = _draws(CFG, 50, pcg())
     with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
         assert _draws(CFG, 50, pcg()) == expected
+
+
+_RAW_TOP = 2**64 - 1
+_EDGE_PROBABILITIES = sorted({
+    0.0, 1.0, 0.5, 5e-324, 1 - 2**-53, 2**-53, 3 * 2**-53, 0.3, 0.7,
+    *(math.nextafter(p, toward) for p in (0.5, 5e-324, 1 - 2**-53, 2**-53) for toward in (0.0, 1.0)),
+})
+
+
+def _random_below(raw, p):
+    # numpy's random(): the top 53 bits of a raw draw, scaled into [0, 1)
+    return ((raw >> 11) * 2**-53) < p
+
+
+def _raws_near(limit):
+    # raw draws at and beside the limit, the 2**11-wide step below it, and the top
+    near = (0, 1, limit - 2**11, limit - 2, limit - 1, limit, limit + 1, limit + 2**11 - 1, _RAW_TOP - 1, _RAW_TOP)
+    return sorted({r for r in near if 0 <= r <= _RAW_TOP})
+
+
+@settings(max_examples=300)
+@given(
+    p=st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+    raw=st.integers(0, _RAW_TOP),
+)
+def test_raw_limit_gives_the_outcomes_of_the_float_compare(p, raw):
+    limit = sampler._raw_limit(p)
+    # p = 1 has the limit 2**64, which no uint64 holds
+    assert (limit is None) == (p == 1.0)
+    raws = [raw, *_raws_near(2**64 if limit is None else int(limit))]
+    below = np.empty(len(raws), dtype=np.bool_)
+    sampler._below(np.array(raws, dtype=np.uint64), limit, below)
+    assert below.tolist() == [_random_below(r, p) for r in raws], (p, limit)
+
+
+def test_raw_limit_matches_numpy_random():
+    # the same Philox draws seen as random() and as raw 64-bit integers
+    bg = np.random.Philox(17)
+    state = bg.state
+    u = np.random.Generator(bg).random(4096)
+    bg.state = state
+    raw = bg.random_raw(4096)
+    assert np.array_equal(u, (raw >> np.uint64(11)) * 2**-53)
+    below = np.empty(4096, dtype=np.bool_)
+    for p in [*_EDGE_PROBABILITIES, *u[:64]]:
+        sampler._below(raw, sampler._raw_limit(p), below)
+        assert np.array_equal(below, u < p), p
 
 
 def test_thread_errors_reach_the_caller():
