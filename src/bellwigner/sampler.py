@@ -176,7 +176,8 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
     state = bg.state if isinstance(bg, np.random.Philox) else None
     size = n if state is None else min(n, _DRAW_SLICE)
     starts = range(0, n, size)
-    count = min(_THREADS, len(starts))
+    # one thread per full slice: a short last slice is not worth a thread
+    count = min(_THREADS, max(1, n // size))
     width = 1 + len(conditionals)
     # per column, the thresholds of an outcome of +1 after a = -1 and a = +1
     thresholds = [(0.5, 0.5), *conditionals]

@@ -4,9 +4,11 @@ The grid is the half-open cube [0, 2pi)^3 at uniform spacing (a closed grid
 would double-count the periodic boundary). Every margin depends on the
 settings only through b - a and b' - a, so on this periodic grid the a-plane
 at index ia is the a = 0 plane rolled by ia along both axes. The census
-therefore evaluates one plane; record streams still walk every plane, one
-vectorized plane at a time, so a resolution-100 sweep streams instead of
-buffering 10^6 rows.
+therefore evaluates one plane; record streams still walk every plane. Both
+evaluate a plane in blocks of b-rows of at most _BLOCK_POINTS points, so
+neither holds more than O(R) floats at any resolution: the census folds
+its count and minimum block by block, and a stream yields each block's
+rows before it evaluates the next.
 
 The margins are functions of grid differences, so a record stream repeats
 its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
@@ -42,6 +44,10 @@ SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
 # about 1 MB; at larger resolutions the cache thrashes but stays bounded.
 _TEXT_CACHE_LIMIT = 1 << 13
 
+# (b, bp) points of one a-plane evaluated at a time, as whole b-rows (one
+# row if a row is longer). An R=60 plane of 3,600 points is one block.
+_BLOCK_POINTS = 1 << 12
+
 
 @dataclass(frozen=True)
 class SweepResult:
@@ -71,18 +77,28 @@ def _margin_parts(kind: InequalityKind):
     raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
 
 
-def _margin_planes(
+def _plane_blocks(
+    angles: np.ndarray,
     ia: int,
-    resolution: int,
     convention: AngleConvention,
     kind: InequalityKind,
     mode: Mode,
-) -> tuple[np.ndarray, np.ndarray]:
-    """(lhs, rhs) planes over (b, bp) for the a-grid index `ia`."""
+) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
+    """(ib_lo, lhs, rhs) for consecutive blocks of b-rows of the a-plane at index `ia`.
+
+    Each block covers the rows ib_lo, ib_lo + 1, ... over every bp, at most
+    _BLOCK_POINTS points (one row if a row is longer). A block's rows are
+    the whole plane's rows bit for bit: the kernel sees the same values in
+    the same contiguous layout.
+    """
     parts = _margin_parts(kind)
-    angles = grid_angles(resolution)
-    b, bp = np.meshgrid(angles, angles, indexing="ij")
-    return parts(angles[ia], b, bp, half_angle_factor(convention), mode)
+    k = half_angle_factor(convention)
+    resolution = len(angles)
+    rows = max(1, _BLOCK_POINTS // resolution)
+    for lo in range(0, resolution, rows):
+        b, bp = np.meshgrid(angles[lo : lo + rows], angles, indexing="ij")
+        lhs, rhs = parts(angles[ia], b, bp, k, mode)
+        yield lo, lhs, rhs
 
 
 def grid_sweep(
@@ -97,21 +113,31 @@ def grid_sweep(
     margins of the a = 0 plane, rolled. The census is R times the a = 0
     count and the minimum is the a = 0 minimum. `argmin` is the a = 0
     representative of the minimizing configurations, which are defined up
-    to a common translation of (a, b, b').
+    to a common translation of (a, b, b'). The plane is folded block by
+    block; a later block takes the minimum only when strictly smaller, so
+    `argmin` is the first minimum in (b, b') order, as np.argmin gives it.
     """
     angles = grid_angles(resolution)
-    lhs, rhs = _margin_planes(0, resolution, convention, kind, mode)
-    margin = rhs - lhs
-    ib, ibp = divmod(int(np.argmin(margin)), resolution)
+    violations = 0
+    min_margin = np.inf
+    at = 0
+    for lo, lhs, rhs in _plane_blocks(angles, 0, convention, kind, mode):
+        margin = rhs - lhs
+        violations += int(np.count_nonzero(margin < -VIOLATION_THRESHOLD))
+        i = int(np.argmin(margin))
+        if margin.flat[i] < min_margin:
+            min_margin = margin.flat[i]
+            at = lo * resolution + i
+    ib, ibp = divmod(at, resolution)
     return SweepResult(
         kind=kind,
         mode=mode,
         convention=convention,
         resolution=resolution,
         n_points=resolution**3,
-        min_margin=float(margin[ib, ibp]),
+        min_margin=float(min_margin),
         argmin=AngleConfig(0.0, float(angles[ib]), float(angles[ibp]), convention),
-        violations=resolution * int((margin < -VIOLATION_THRESHOLD).sum()),
+        violations=resolution * violations,
     )
 
 
@@ -122,12 +148,13 @@ def _record_rows(
     mode: Mode,
 ) -> Iterator[tuple[int, int, list[float], list[float], list[float]]]:
     """(ia, ib, lhs, rhs, margin) per plane row, the last three as lists over bp."""
+    angles = grid_angles(resolution)
     for ia in range(resolution):
-        lhs, rhs = _margin_planes(ia, resolution, convention, kind, mode)
-        margin = rhs - lhs
-        # one plane row at a time keeps O(R) Python floats alive, not O(R^2)
-        for ib in range(resolution):
-            yield ia, ib, lhs[ib].tolist(), rhs[ib].tolist(), margin[ib].tolist()
+        for lo, lhs, rhs in _plane_blocks(angles, ia, convention, kind, mode):
+            margin = rhs - lhs
+            # one row at a time keeps O(R) Python floats alive, not O(R^2)
+            for row, (left, right, gap) in enumerate(zip(lhs, rhs, margin), lo):
+                yield ia, row, left.tolist(), right.tolist(), gap.tolist()
 
 
 def iter_records(

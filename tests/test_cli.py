@@ -306,7 +306,9 @@ def test_convergence_json_output(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        ["sweep", "--resolution", "2000000"],
+        # the census holds O(R) floats, so only an angle grid that cannot be
+        # allocated (8 PB at R = 10^15) is refused
+        ["sweep", "--resolution", str(10**15)],
     ],
     ids=["sweep"],
 )

@@ -44,6 +44,22 @@ def test_sweep_records_bytes(tmp_path, capsys, resolution, kind, mode, conventio
     assert sha256(out) == digest
 
 
+@pytest.mark.parametrize(
+    "kind, mode, digest",
+    [
+        ("bell", "paper", "555a8e7791e7777e1f229c0afdd8f787c1a23b150731b27624b983cc554ab355"),
+        ("bell", "naive", "a18fb19c0f858fb16bb9fc14699b836f2544a54475ee77c4339141d376f6bdba"),
+        ("wigner", "paper", "960d2e17b371c448c222948b024687a379bde1cbd9c38fe4707bdfef4487db11"),
+        ("wigner", "naive", "21876e931989cd30aa91ef527f5710fbc0a0db86ed7ff8a1d1effd5d82a8dfc6"),
+    ],
+)
+def test_sweep_census_json_bytes(capsys, kind, mode, digest):
+    # an R=200 plane spans several row blocks, so the summary pins the
+    # count, the minimum margin and the first argmin across blocks
+    main(["sweep", "--kind", kind, "--mode", mode, "--resolution", "200"])
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
 def test_simulate_file_bytes(tmp_path, capsys):
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "1000", "--seed", "42", "--out", str(out)]) == 0

@@ -292,6 +292,23 @@ def test_a_failing_visit_stops_every_thread():
     assert threading.active_count() == before
 
 
+@pytest.mark.parametrize("n, threads", [(6, 1), (7, 1), (10, 1), (14, 2), (20, 2), (21, 3), (50, 3)])
+def test_one_thread_per_full_slice(monkeypatch, n, threads):
+    # a short last slice rides on a thread that draws a full one
+    counts = []
+    run_threads = sampler._run_threads
+
+    def counted(work, count):
+        counts.append(count)
+        run_threads(work, count)
+
+    monkeypatch.setattr(sampler, "_run_threads", counted)
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        slices = _visited(n, make_rng(8), [(0.2, 0.7)])
+    assert counts == [threads]
+    assert [lo for lo, _ in slices] == list(range(0, n, 7))
+
+
 def test_non_philox_generator_is_one_slice_of_all_trials():
     with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
         slices = _visited(50, np.random.Generator(np.random.PCG64(5)), [(0.2, 0.7)])

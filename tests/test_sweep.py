@@ -1,9 +1,11 @@
 import io
 import math
+import tracemalloc
+from itertools import islice
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from bellwigner import (
@@ -101,6 +103,105 @@ def test_sweep_matches_brute_force_grid(resolution, convention, kind, mode):
     assert result.argmin.a == 0.0
     scalar = bell_margin if kind is BELL else wigner_margin
     assert abs(scalar(result.argmin, mode).margin - result.min_margin) <= 1e-12
+
+
+def whole_plane(ia, resolution, convention, kind, mode):
+    """(lhs, rhs) over the whole (b, bp) plane of a-index `ia`: the unblocked reference."""
+    angles = grid_angles(resolution)
+    b, bp = np.meshgrid(angles, angles, indexing="ij")
+    parts = bell_margin_parts if kind is BELL else wigner_margin_parts
+    return parts(angles[ia], b, bp, half_angle_factor(convention), mode)
+
+
+def block_points(choice, resolution):
+    """_BLOCK_POINTS for a named choice: 1, a row less or more one point, a row, the default."""
+    return {
+        "one": 1, "row-1": resolution - 1, "row": resolution, "row+1": resolution + 1,
+        "default": sweep._BLOCK_POINTS,
+    }[choice]
+
+
+GRID_CASES = dict(
+    resolution=st.integers(2, 70),
+    convention=st.sampled_from([SPIN, OPTICAL]),
+    kind=st.sampled_from([BELL, WIGNER]),
+    mode=st.sampled_from([Mode.PAPER, Mode.NAIVE]),
+    block=st.sampled_from(["one", "row-1", "row", "row+1", "default"]),
+)
+
+
+@settings(deadline=None)
+@given(**GRID_CASES)
+def test_blocked_sweep_matches_whole_plane(resolution, convention, kind, mode, block):
+    lhs, rhs = whole_plane(0, resolution, convention, kind, mode)
+    margin = rhs - lhs
+    ib, ibp = divmod(int(np.argmin(margin)), resolution)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_BLOCK_POINTS", block_points(block, resolution))
+        result = grid_sweep(resolution, convention, kind, mode)
+    angles = grid_angles(resolution)
+    assert result.violations == resolution * int((margin < -VIOLATION_THRESHOLD).sum())
+    assert result.min_margin.hex() == float(margin[ib, ibp]).hex()
+    assert (result.argmin.b, result.argmin.bp) == (angles[ib], angles[ibp])
+
+
+@settings(max_examples=40, deadline=None)
+@given(**GRID_CASES)
+def test_blocked_record_rows_match_whole_plane(resolution, convention, kind, mode, block):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_BLOCK_POINTS", block_points(block, resolution))
+        rows = _record_rows(resolution, convention, kind, mode)
+        for ia in range(resolution):
+            lhs, rhs = whole_plane(ia, resolution, convention, kind, mode)
+            plane = list(islice(rows, resolution))
+            assert [row[:2] for row in plane] == [(ia, ib) for ib in range(resolution)]
+            got = [np.array([row[j] for row in plane]) for j in (2, 3, 4)]
+            # bitwise: tobytes tells -0.0 from 0.0
+            assert [g.tobytes() for g in got] == [e.tobytes() for e in (lhs, rhs, rhs - lhs)]
+        assert next(rows, None) is None
+
+
+def test_tied_minimum_across_blocks_keeps_the_first():
+    # R=5 spin naive Bell takes its minimum at plane indices 7, 11, 19 and
+    # 23 exactly; one row per block puts the first two in different blocks
+    lhs, rhs = whole_plane(0, 5, SPIN, BELL, Mode.NAIVE)
+    margin = (rhs - lhs).ravel()
+    assert np.flatnonzero(margin == margin.min()).tolist() == [7, 11, 19, 23]
+    angles = grid_angles(5)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sweep, "_BLOCK_POINTS", 5)
+        result = grid_sweep(5, SPIN, BELL, Mode.NAIVE)
+    assert (result.argmin.b, result.argmin.bp) == (angles[1], angles[2])
+    assert result.min_margin == margin[7]
+
+
+def _peak_bytes(call):
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("resolution", [1000, 2000])
+def test_census_memory_does_not_grow_with_resolution(resolution):
+    # a whole R=2000 plane is 32 MB per float64 array; row blocks hold a few
+    # 2^12-point arrays and the O(R) grid at any resolution
+    grid_sweep(60, SPIN, WIGNER, Mode.NAIVE)  # warm-up
+    peak = _peak_bytes(lambda: grid_sweep(resolution, SPIN, WIGNER, Mode.NAIVE))
+    assert peak < 2 * 2**20, peak
+
+
+def test_record_rows_start_in_o_r_memory():
+    # the first rows of an R=3000 stream come from one row block, not a
+    # 9*10^6-point plane
+    def first_rows():
+        return list(islice(_record_rows(3000, SPIN, BELL, Mode.NAIVE), 4))
+
+    first_rows()  # warm-up
+    peak = _peak_bytes(first_rows)
+    assert peak < 2 * 2**20, peak
 
 
 def test_iter_records_covers_grid_in_order():
