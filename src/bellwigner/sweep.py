@@ -87,17 +87,17 @@ def _plane_blocks(
     """(ib_lo, lhs, rhs) for consecutive blocks of b-rows of the a-plane at index `ia`.
 
     Each block covers the rows ib_lo, ib_lo + 1, ... over every bp, at most
-    _BLOCK_POINTS points (one row if a row is longer). A block's rows are
-    the whole plane's rows bit for bit: the kernel sees the same values in
-    the same contiguous layout.
+    _BLOCK_POINTS points (one row if a row is longer). The kernel gets the
+    block's b as a column and every bp as a row, so each term of b or of bp
+    alone is evaluated at rows + R points, not rows * R; the elementwise
+    results are those of a meshgrid.
     """
     parts = _margin_parts(kind)
     k = half_angle_factor(convention)
     resolution = len(angles)
     rows = max(1, _BLOCK_POINTS // resolution)
     for lo in range(0, resolution, rows):
-        b, bp = np.meshgrid(angles[lo : lo + rows], angles, indexing="ij")
-        lhs, rhs = parts(angles[ia], b, bp, k, mode)
+        lhs, rhs = parts(angles[ia], angles[lo : lo + rows, None], angles[None, :], k, mode)
         yield lo, lhs, rhs
 
 

@@ -1,4 +1,5 @@
 import math
+import os
 import sys
 import threading
 import time
@@ -13,7 +14,8 @@ import hypothesis.strategies as st
 from bellwigner import sampler
 from bellwigner.analytic import half_angle_factor, pattern_probabilities
 from bellwigner.data_inequality import PatternCounts, _triple_sums
-from bellwigner.sampler import _usable_cpus
+from bellwigner.datafile import TriplesWriter
+from bellwigner.sampler import _usable_cpus, stream_dataset
 from bellwigner import (
     AngleConfig,
     AngleConvention,
@@ -471,6 +473,40 @@ def test_raw_limit_matches_numpy_random():
         assert np.array_equal(below, u < p), p
 
 
+def _masked_conditional(draws, limits, a):
+    # the masked compare that the bool-op selection replaced, kept as its reference
+    out = np.empty(draws.size, dtype=np.bool_)
+    for limit, where in zip(limits, (True, a)):
+        if limit is None:
+            np.copyto(out, True, where=where)
+        else:
+            np.less(draws, limit, out=out, where=where)
+    return out
+
+
+@settings(max_examples=300)
+@given(
+    p=st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+    q=st.one_of(st.sampled_from(_EDGE_PROBABILITIES), st.floats(0.0, 1.0)),
+    trials=st.lists(st.tuples(st.integers(0, _RAW_TOP), st.booleans()), max_size=20),
+    dirty=st.booleans(),
+)
+def test_conditional_gives_the_outcomes_of_the_masked_compare(p, q, trials, dirty):
+    # either limit order, p = 0, p = 1 (no limit) and the raws at both
+    # limits, each after a = -1 and a = +1; out and alt start dirty or clean
+    limits = (sampler._raw_limit(p), sampler._raw_limit(q))
+    edges = [r for limit in limits for r in _raws_near(2**64 if limit is None else int(limit))]
+    raws = np.array([r for r, _ in trials] + edges * 2, dtype=np.uint64)
+    a = np.array([x for _, x in trials] + [False] * len(edges) + [True] * len(edges))
+    uniforms = (raws >> np.uint64(11)) * 2**-53
+    for draws, pair in ((raws, limits), (uniforms, (p, q))):
+        out = np.full(raws.size, dirty)
+        alt = np.full(raws.size, not dirty)
+        sampler._conditional(draws, pair, a, out, alt)
+        assert out.tolist() == _masked_conditional(draws, pair, a).tolist(), (p, q)
+        assert out.tolist() == [_random_below(int(r), q if x else p) for r, x in zip(raws, a)]
+
+
 def test_thread_errors_reach_the_caller():
     def work(t):
         if t == 1:
@@ -537,3 +573,28 @@ def test_convergence_memory_does_not_grow_with_n():
             finally:
                 tracemalloc.stop()
             assert peak < 2 * 2**20, (n, peak)
+
+
+def _devnull_rows(n):
+    with open(os.devnull, "wb") as fh:
+        stream_dataset(CFG, n, make_rng(3), TriplesWriter(fh).write)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [lambda n: convergence_study(CFG, [n], seed=3), _devnull_rows],
+    ids=["convergence", "stream-to-rows"],
+)
+def test_default_slices_hold_under_a_mebibyte(call):
+    # two threads at the default slice size, each holding one slice's raw
+    # draws and bool columns, and the row writer one slice's temporaries;
+    # with 2^16-trial slices both calls peaked at 2.4 MiB
+    with mock.patch.object(sampler, "_THREADS", 2):
+        call(10_000)  # warm-up
+        tracemalloc.start()
+        try:
+            call(10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+    assert peak < 2**20, peak
