@@ -185,20 +185,14 @@ def cmd_convergence(args) -> int:
         raise ValueError(f"--n-list must be comma-separated integers, got {args.n_list!r}") from None
     records = convergence_study(cfg, n_list, args.seed)
     rows = [r.as_dict() for r in records]
-    if args.format == "json":
-        payload = json.dumps(rows, indent=2)
-        if args.out is None:
-            print(payload)
-        else:
-            with open(args.out, "w") as fh:
-                fh.write(payload + "\n")
-        return 0
     out = sys.stdout if args.out is None else open(args.out, "w", newline="")
     try:
-        writer = csv.writer(out, lineterminator="\n")
-        writer.writerow(rows[0].keys())
-        for row in rows:
-            writer.writerow(row.values())
+        if args.format == "json":
+            out.write(json.dumps(rows, indent=2) + "\n")
+        else:
+            writer = csv.writer(out, lineterminator="\n")
+            writer.writerow(rows[0].keys())
+            writer.writerows(row.values() for row in rows)
     finally:
         if out is not sys.stdout:
             out.close()

@@ -12,20 +12,14 @@ a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
 
-One driver draws every sample: trials come in slices, drawn on one thread
-per usable CPU, and each slice's a column and conditional columns are
-drawn together and handed to a visitor in trial order. The visitor stores
-them as int8 columns (`sample_dataset`, both matched-pairs arms), folds
-them into the exact sums (the convergence study) or writes them out as
-file rows (`stream_dataset`, which the simulate command uses), so only the
-stored columns grow with the sample count. Each column of a slice is one
-run of raw 64-bit draws from a Philox jumped ahead by counter to the
-slice's first draw of that column, compared with an integer limit that
-gives exactly the outcomes of comparing ``random()`` with the probability;
-no float64 uniforms are made. So the outputs are bit-identical to serial
-drawing for any slice size and CPU count. A generator that is not Philox
-cannot jump ahead: it draws all trials as one slice, serially, with
-``random()``, in memory that grows with the sample count.
+One driver, `_sample_slices`, draws every sample: the calling thread and
+helper threads draw trials in slices, which are handed to a visitor in
+trial order. The visitor stores them as int8 columns (`sample_dataset`,
+both matched-pairs arms), folds them into the exact sums (the convergence
+study) or writes them out as file rows (`stream_dataset`, which the
+simulate command uses), so only the stored columns grow with the sample
+count. Outputs are bit-identical to serial drawing for any slice size and
+thread count.
 """
 
 from __future__ import annotations
@@ -69,9 +63,9 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-# Threads that fill draw slices; one means every draw is made serially.
-# Philox.random_raw releases the GIL, so on a multi-core host the threads
-# draw in parallel.
+# Threads that draw slices, the calling thread included; one means every
+# draw is made serially by the caller. Philox.random_raw releases the GIL,
+# so on a multi-core host the threads draw in parallel.
 _THREADS = _usable_cpus()
 
 
@@ -90,31 +84,6 @@ def _philox_at(bg: np.random.Philox, state: dict, skip: int) -> np.random.Philox
         bg.advance(blocks)
     bg.random_raw(rest)
     return bg
-
-
-def _run_threads(work, count: int) -> None:
-    """Run ``work(t)`` for t in range(count) on threads; re-raise the first error.
-
-    A count of one runs on the calling thread.
-    """
-    if count == 1:
-        work(0)
-        return
-    errors = []
-
-    def guarded(t: int) -> None:
-        try:
-            work(t)
-        except Exception as exc:  # handed to the calling thread
-            errors.append(exc)
-
-    threads = [threading.Thread(target=guarded, args=(t,), daemon=True) for t in range(count)]
-    for thread in threads:
-        thread.start()
-    for thread in threads:
-        thread.join()
-    if errors:
-        raise errors[0]
 
 
 def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
@@ -179,18 +148,18 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
     draw of column j in serial drawing order, a's n draws first, so the
     outcomes do not depend on how the trials are sliced.
 
-    A Philox ``rng`` has its slices of ``_DRAW_SLICE`` trials drawn on
-    threads, each column as raw 64-bit draws from the thread's own Philox
-    jumped ahead to that column's first draw of the slice and compared with
-    the integer limit of each probability (`_raw_limit`), which gives the
-    outcomes of comparing ``random()`` with it. A conditional column is
-    compared with both of its thresholds and a picks one outcome per trial
-    with bool ops (`_conditional`). Draws run in parallel, but
-    a thread visits its slice only after the slice before it was visited.
-    ``rng`` is then left where serial drawing would leave it. Any other
-    generator cannot jump ahead, so it draws all n trials as one slice,
-    column after column, with ``random()``: the same outcomes, in O(n)
-    memory.
+    A Philox ``rng`` has its slices of ``_DRAW_SLICE`` trials dealt in turn
+    to the calling thread and up to ``_THREADS - 1`` helpers, one thread per
+    full slice. Each column of a slice is raw 64-bit draws from the thread's
+    own Philox jumped ahead to that column's first draw of the slice and
+    compared with the integer limit of each probability (`_raw_limit`); a
+    conditional column is compared with both of its limits and a picks one
+    per trial (`_conditional`). Threads draw in parallel but visit in slice
+    order. The first error raised on any thread, in a draw or a visit,
+    stops them all and is raised here. ``rng`` is then left where serial
+    drawing would leave it. Any other generator cannot jump ahead, so it
+    draws all n trials as one slice, column after column, with
+    ``random()``: the same outcomes, in O(n) memory.
     """
     bg = rng.bit_generator
     state = bg.state if isinstance(bg, np.random.Philox) else None
@@ -205,10 +174,10 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
         thresholds = [tuple(map(_raw_limit, pair)) for pair in thresholds]
     turn = threading.Condition()
     next_visit = 0
-    failed = False
+    errors = []  # a thread's error stops every thread and reaches the caller
 
     def work(t: int) -> None:
-        nonlocal next_visit, failed
+        nonlocal next_visit
         own = None if state is None else np.random.Philox()
         u = np.empty(size) if state is None else None
         cols = np.empty((width, size), dtype=np.bool_)
@@ -229,21 +198,26 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
                     else:
                         _below(draws, limits[0], col)
                 with turn:
-                    turn.wait_for(lambda: next_visit == i or failed)
-                    if failed:
+                    turn.wait_for(lambda: next_visit == i or errors)
+                    if errors:
                         return
                 visit(lo, slice_cols)
                 with turn:
                     next_visit += 1
                     turn.notify_all()
-        except BaseException:
-            # wake the threads waiting for this slice's visit, so they stop
+        except BaseException as exc:
             with turn:
-                failed = True
+                errors.append(exc)
                 turn.notify_all()
-            raise
 
-    _run_threads(work, count)
+    helpers = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(1, count)]
+    for thread in helpers:
+        thread.start()
+    work(0)
+    for thread in helpers:
+        thread.join()
+    if errors:
+        raise errors[0]
     if state is not None:
         _leave_at(bg, state, width * n)
 

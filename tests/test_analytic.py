@@ -258,3 +258,22 @@ def test_paper_margins_are_the_data_identity_applied_to_the_model(convention):
     # the Wigner margin is q(a+, b-, b'+) + q(a-, b+, b'-)
     lhs, rhs = wigner_margin_parts(a, b, bp, k, Mode.PAPER)
     assert np.abs((rhs - lhs) - (q[2] + q[5])).max() <= 1e-15
+
+
+@given(configs)
+def test_bell_margin_is_four_times_the_smaller_wigner_margin(cfg):
+    # the paper's Bell -> Wigner step as an identity, in each mode: with
+    # x = b - a and y = b' - a, the PAPER Wigner margin is cos^2(kx) sin^2(ky)
+    # and the NAIVE one -sin(k(x - y)) cos(kx) sin(ky)
+    k = half_angle_factor(cfg.convention)
+    x, y = cfg.b - cfg.a, cfg.bp - cfg.a
+    closed_forms = {
+        Mode.PAPER: math.cos(k * x) ** 2 * math.sin(k * y) ** 2,
+        Mode.NAIVE: -math.sin(k * (x - y)) * math.cos(k * x) * math.sin(k * y),
+    }
+    swapped = AngleConfig(cfg.a, cfg.bp, cfg.b, cfg.convention)
+    for mode, closed_form in closed_forms.items():
+        w = wigner_margin(cfg, mode).margin
+        w_swapped = wigner_margin(swapped, mode).margin
+        assert abs(bell_margin(cfg, mode).margin - 4 * min(w, w_swapped)) <= 1e-14, mode
+        assert abs(w - closed_form) <= 1e-14, mode

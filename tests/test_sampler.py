@@ -1,3 +1,4 @@
+import itertools
 import math
 import os
 import sys
@@ -266,49 +267,86 @@ def test_slices_are_visited_in_trial_order():
     assert [(lo, c.shape) for lo, c in slices] == [(lo, (2, min(7, 50 - lo))) for lo in range(0, 50, 7)]
 
 
-def test_a_failing_visit_stops_every_thread():
-    # the third slice's visit raises while the other threads wait for their
-    # turn or draw ahead; all of them must finish and the caller gets the error
-    visited = []
-    outcome = []
+def _raised_on_a_thread(call):
+    """What ``call()`` raised, run on its own thread; it must neither hang nor leave threads."""
+    raised = []
 
-    def visit(lo, columns):
-        if lo == 14:
-            raise MemoryError("slice 3")
-        visited.append(lo)
-
-    def call():
+    def guarded():
         try:
-            sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], visit)
-        except MemoryError as exc:
-            outcome.append(exc)
+            call()
+        except BaseException as exc:
+            raised.append(exc)
 
     before = threading.active_count()
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        caller = threading.Thread(target=call, daemon=True)
-        caller.start()
-        caller.join(timeout=30)
-    assert not caller.is_alive(), "the driver hung after a visit failed"
-    assert [str(exc) for exc in outcome] == ["slice 3"]
-    assert visited == [0, 7]
+    runner = threading.Thread(target=guarded, daemon=True)
+    runner.start()
+    runner.join(timeout=30)
+    assert not runner.is_alive(), "the driver hung after a thread failed"
     assert threading.active_count() == before
+    return raised
+
+
+@pytest.mark.parametrize(
+    "fail_at, error",
+    [(14, MemoryError), (14, SystemExit), (21, KeyboardInterrupt)],
+    ids=["helper-MemoryError", "helper-SystemExit", "caller-KeyboardInterrupt"],
+)
+def test_a_failing_visit_stops_every_thread(fail_at, error):
+    # one slice's visit raises while the other threads wait for their turn
+    # or draw ahead; all of them must finish and the caller gets the error.
+    # With three threads the slice at 14 is a helper's, the one at 21 the caller's.
+    visited = []
+
+    def visit(lo, columns):
+        if lo == fail_at:
+            raise error(f"slice at {lo}")
+        visited.append(lo)
+
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        raised = _raised_on_a_thread(
+            lambda: sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], visit)
+        )
+    assert [(type(exc), str(exc)) for exc in raised] == [(error, f"slice at {fail_at}")]
+    assert visited == list(range(0, fail_at, 7))
+
+
+def test_a_failing_draw_reaches_the_caller(monkeypatch):
+    # a helper's draw raises before its slice's turn to be visited: the
+    # threads waiting for that visit must stop, and the caller gets the error
+    conditional = sampler._conditional
+    caller = []
+    helper_calls = itertools.count()
+
+    def failing(*args):
+        if threading.current_thread() is not caller[0] and next(helper_calls) == 0:
+            raise MemoryError("draw")
+        conditional(*args)
+
+    def call():
+        caller.append(threading.current_thread())
+        sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], lambda lo, columns: None)
+
+    monkeypatch.setattr(sampler, "_conditional", failing)
+    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+        raised = _raised_on_a_thread(call)
+    assert [(type(exc), str(exc)) for exc in raised] == [(MemoryError, "draw")]
 
 
 @pytest.mark.parametrize("n, threads", [(6, 1), (7, 1), (10, 1), (14, 2), (20, 2), (21, 3), (50, 3)])
-def test_one_thread_per_full_slice(monkeypatch, n, threads):
-    # a short last slice rides on a thread that draws a full one
-    counts = []
-    run_threads = sampler._run_threads
+def test_one_thread_per_full_slice(n, threads):
+    # the caller draws as one of the threads; a short last slice rides on a
+    # thread that draws a full one
+    visits = []
 
-    def counted(work, count):
-        counts.append(count)
-        run_threads(work, count)
+    def visit(lo, columns):
+        visits.append((lo, threading.get_ident()))
 
-    monkeypatch.setattr(sampler, "_run_threads", counted)
     with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        slices = _visited(n, make_rng(8), [(0.2, 0.7)])
-    assert counts == [threads]
-    assert [lo for lo, _ in slices] == list(range(0, n, 7))
+        sampler._sample_slices(n, make_rng(8), [(0.2, 0.7)], visit)
+    assert [lo for lo, _ in visits] == list(range(0, n, 7))
+    idents = {ident for _, ident in visits}
+    assert len(idents) == threads
+    assert threading.get_ident() in idents
 
 
 def test_non_philox_generator_is_one_slice_of_all_trials():
@@ -505,15 +543,6 @@ def test_conditional_gives_the_outcomes_of_the_masked_compare(p, q, trials, dirt
         sampler._conditional(draws, pair, a, out, alt)
         assert out.tolist() == _masked_conditional(draws, pair, a).tolist(), (p, q)
         assert out.tolist() == [_random_below(int(r), q if x else p) for r, x in zip(raws, a)]
-
-
-def test_thread_errors_reach_the_caller():
-    def work(t):
-        if t == 1:
-            raise MemoryError("slice 1")
-
-    with pytest.raises(MemoryError, match="slice 1"):
-        sampler._run_threads(work, 3)
 
 
 def _sums_and_after(sums, rng):

@@ -298,6 +298,22 @@ def test_census_patterns():
     assert census[(WIGNER, Mode.NAIVE)] > 0
 
 
+def test_census_closed_forms():
+    # NAIVE Wigner counts in closed form (optical only for 4 | R), NAIVE Bell
+    # twice NAIVE Wigner, PAPER none
+    for resolution in range(3, 121):
+        for convention in (SPIN, OPTICAL):
+            census = violation_census(resolution, convention)
+            wigner = census[(WIGNER, Mode.NAIVE)]
+            assert census[(BELL, Mode.NAIVE)] == 2 * wigner, (resolution, convention)
+            assert census[(BELL, Mode.PAPER)] == census[(WIGNER, Mode.PAPER)] == 0
+            if convention is SPIN:
+                assert wigner == resolution * ((resolution - 1) // 2) * ((resolution - 3) // 2)
+            elif resolution % 4 == 0:
+                half = resolution // 2
+                assert wigner == resolution * (half - 2) * (half - 4)
+
+
 def test_census_pattern_holds_for_optical_convention():
     census = violation_census(12, OPTICAL)
     assert census[(BELL, Mode.PAPER)] == 0
