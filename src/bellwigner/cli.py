@@ -289,7 +289,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         return args.func(args)
     except (
-        DataParseError, EmptyDataError, LengthMismatchError, MemoryError, OSError, ValueError
+        csv.Error, DataParseError, EmptyDataError, LengthMismatchError, MemoryError, OSError,
+        ValueError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -85,20 +85,22 @@ _CHUNK_BYTES = 1 << 15
 # quote, then \n or \r\n. Anything else goes to the csv module whole.
 _PLAIN_HEADER = re.compile(rb"(\xef\xbb\xbf)?([\t\x20\x21\x23-\x7e]*)\r?\n")
 _FAST_ALPHABET = b"+-1, \t\r\n"
-_COMMA, _NL, _ONE, _PLUS, _MINUS, _SPACE, _TAB = b",\n1+- \t"
-
-
-def _blank_lines(nl: np.ndarray) -> int:
-    return int(nl[0]) + int(np.count_nonzero(nl[1:] & nl[:-1]))
+_COMMA, _NL, _ONE, _PLUS, _MINUS = b",\n1+-"
 
 
 def _fast_cells(chunk: bytes, width: int) -> np.ndarray | None:
     """int8 cells of whole lines in the fast grammar, or None for anything else.
 
-    The grammar: only the bytes `+-1, \\t\\r\\n`; \\r only before \\n; no blank
-    or tab right after a sign; no line of blanks; every other non-empty line
-    holds `width` cells, each 1, +1 or -1 between blanks. On such lines the
-    csv module and `_parse_cell` give exactly these values and line count.
+    The grammar, on the chunk's bytes: only `+-1, \\t\\r\\n`, \\r only before
+    \\n, and every + or - directly before a 1. The separators are every
+    comma and every \\n that does not directly follow another \\n (one that
+    does closes an empty line, which csv skips). The 1s and separators
+    alternate, and each line's separators are `width - 1` commas and its \\n.
+    A cell is -1 where the byte before its 1 is -, and +1 otherwise. So
+    blanks may stand around a cell, but `1 1` (no separator), `+ 1` (a sign
+    not before its 1) and a line of only blanks (a separator right after
+    another) fall outside. On lines in this grammar the csv module and
+    `_parse_cell` give exactly these values and line count.
     """
     if chunk.translate(None, _FAST_ALPHABET):
         return None
@@ -106,36 +108,21 @@ def _fast_cells(chunk: bytes, width: int) -> np.ndarray | None:
         if chunk.count(b"\r") != chunk.count(b"\r\n"):
             return None
         chunk = chunk.replace(b"\r", b"")  # a CRLF ends a csv row like LF does
-    text = np.frombuffer(chunk, dtype=np.uint8)
-    if b" " in chunk or b"\t" in chunk:
-        blank = (text == _SPACE) | (text == _TAB)
-        sign = (text == _PLUS) | (text == _MINUS)
-        if (sign[:-1] & blank[1:]).any():
-            return None  # "+ 1" is one bad cell, not +1
-        c = text.compress(~blank)
-        # a line of blanks is a ragged row to csv, not a blank line
-        if _blank_lines(c == _NL) != _blank_lines(text == _NL):
-            return None
-    else:
-        c = text
-    one = c == _ONE
-    comma = c == _COMMA
-    signed = (c[:-1] == _PLUS) | (c[:-1] == _MINUS)
-    if (
-        c[0] == _COMMA
-        or (signed & ~one[1:]).any()
-        or (comma[1:] & ~one[:-1]).any()
-        or (comma[:-1] & (c[1:] == _NL)).any()
-    ):
+    # the chunk after the \n that ends the line before it, so every byte has one before it
+    t = np.frombuffer(b"\n" + chunk, dtype=np.uint8)
+    one = t == _ONE
+    if (((t[:-1] == _PLUS) | (t[:-1] == _MINUS)) & ~one[1:]).any():
+        return None  # "+ 1" is one bad cell, not +1
+    # the 1s and separators: a \n right after a \n closes an empty line, so is neither
+    nl = t == _NL
+    marked = one | (t == _COMMA)
+    marked[1:] |= nl[1:] & ~nl[:-1]
+    # in order they spell one line, "1,1,1\n" for width 3, over and over
+    marks = t.compress(marked).tobytes()
+    line = b"1," * (width - 1) + b"1\n"
+    if marks != line * (len(marks) // len(line)):
         return None
-    # every cell ends in its 1: `width` of them per row, the last before \n
-    follow = c[1:].compress(one[:-1])
-    if follow.size % width:
-        return None
-    follow = follow.reshape(-1, width)
-    if (follow[:, :-1] != _COMMA).any() or (follow[:, -1] != _NL).any():
-        return None
-    minus = np.concatenate(([False], c[:-1] == _MINUS)).compress(one)
+    minus = t[:-1].compress(one[1:]) == _MINUS
     return 1 - 2 * minus.view(np.int8)
 
 

@@ -98,6 +98,15 @@ def test_check_data_line_numbers_count_blank_lines(tmp_path, capsys):
     assert "line 4" in err
 
 
+def test_check_data_reports_csv_error(tmp_path, capsys):
+    # a cell longer than the csv module's field limit is an input error, not a violation
+    path = tmp_path / "d.csv"
+    path.write_bytes(b"a,b,bp\n1" + b" " * 200_000 + b",1,1\n")
+    rc, _, err = run(capsys, "check-data", str(path))
+    assert rc == 2
+    assert err.startswith("error:") and "field larger than field limit" in err
+
+
 def test_check_data_rejects_unknown_header(tmp_path, capsys):
     path = write_file(tmp_path, "d.csv", "x,y,z\n+1,+1,+1\n")
     rc, _, err = run(capsys, "check-data", path)

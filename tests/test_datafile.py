@@ -10,6 +10,8 @@ columns, and hold no cells while it reads.
 
 import csv
 import gc
+import io
+import itertools
 import json
 import tracemalloc
 from array import array
@@ -159,7 +161,7 @@ _MIXED_ROWS = np.array(
 def test_check_data_memory_does_not_grow_with_rows(tmp_path, capsys, rows, first_row):
     # the cells alone would take 600 KB, 1.2 MB and 450 KB; folding each
     # chunk or csv block into counts holds only that chunk's temporaries
-    # (the fast grammar check makes about 16 the size of a 32 KiB chunk)
+    # (the fast grammar check makes about 10 the size of a 32 KiB chunk)
     rng = np.random.default_rng(rows)
     path = tmp_path / "d.csv"
     path.write_bytes(b"a,b,bp\n" + first_row + b"".join(_MIXED_ROWS[rng.integers(0, 8, rows)].tolist()))
@@ -218,17 +220,82 @@ def test_hand_over_leaves_the_callers_file_open(tmp_path):
     assert cells.tolist() == [1, -1, 1] * 2
 
 
-@pytest.mark.parametrize("chunk_bytes", [1, 7, 9, 10, 1 << 16])
-def test_fast_grammar_never_reaches_csv_loop(tmp_path, chunk_bytes):
+# every cell spelling of the benchmark's data files (perfbench/inputs.py), and its value
+SPELLINGS = {"+1": 1, "1": 1, " +1": 1, "1 ": 1, " 1 ": 1, "-1": -1, " -1": -1, "-1 ": -1}
+MIXED = list(itertools.product(SPELLINGS, repeat=3))
+FAST_FILES = {
+    "blanks-crlf": (
+        b"\xef\xbb\xbfa,b,bp\r\n" + BODY.encode() + b"\n\r\n-1, 1,1",
+        [[1] * 4 + [1] + [-1] * 4 + [-1], [-1] * 4 + [-1] + [-1] * 4 + [1]],
+    ),
+    "mixed": (
+        b"a,b,bp\n" + "".join(",".join(row) + "\n" for row in MIXED).encode(),
+        [[SPELLINGS[row[i]] for row in MIXED] for i in (0, 1)],
+    ),
+}
+
+
+@pytest.mark.parametrize(
+    "body, chunk_bytes",
+    [("blanks-crlf", size) for size in (1, 7, 9, 10, 1 << 16)]
+    + [("mixed", size) for size in (1, 7, 1 << 16)],
+    ids=["1", "7", "9", "10", "65536", "mixed-1", "mixed-7", "mixed-65536"],
+)
+def test_fast_grammar_never_reaches_csv_loop(tmp_path, body, chunk_bytes):
+    content, (a, b) = FAST_FILES[body]
     path = tmp_path / "d.csv"
-    path.write_bytes(b"\xef\xbb\xbfa,b,bp\r\n" + BODY.encode() + b"\n\r\n-1, 1,1")
+    path.write_bytes(content)
     with mock.patch.object(datafile, "_CHUNK_BYTES", chunk_bytes), mock.patch.object(
         datafile, "_extend_from_csv", side_effect=AssertionError("csv loop used")
     ):
         data = read_outcome_csv(str(path))
-    assert data.n == 10
-    assert data.a.tolist() == [1] * 4 + [1] + [-1] * 4 + [-1]
-    assert data.b.tolist() == [-1] * 4 + [-1] + [-1] * 4 + [1]
+    assert data.n == len(a)
+    assert data.a.tolist() == a
+    assert data.b.tolist() == b
+
+
+def reference_cells(chunk, width):
+    """The cells the csv module and `reference_parse_cell` read from `chunk`, or None."""
+    cells = []
+    for line, row in enumerate(csv.reader(io.StringIO(chunk.decode(), newline="")), start=2):
+        if not row:
+            continue
+        if len(row) != width:
+            return None
+        try:
+            cells.extend(reference_parse_cell(cell, line) for cell in row)
+        except DataParseError:
+            return None
+    return cells
+
+
+FAST_ODD = ("", " ", "\t", "+", "-", "11", "1 1", "+ 1", "-\t1", "+-1", "1+", "1\r", "\r\n", ",")
+
+
+@st.composite
+def fast_alphabet_chunks(draw, width):
+    """Whole lines over the bytes `+-1, \\t\\r\\n`: mostly `width` well-formed cells."""
+    if draw(st.integers(0, 7)) == 0:
+        return draw(st.text("+-1, \t\r\n", max_size=30)).encode() + b"\n"
+    text = ""
+    for _ in range(draw(st.integers(1, 4))):
+        n = draw(st.sampled_from((width, width, width, 0, width - 1, width + 1)))
+        cells = draw(st.lists(st.sampled_from(VALID), min_size=n, max_size=n))
+        if n and draw(st.booleans()):
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(FAST_ODD))
+        text += ",".join(cells) if n else draw(st.sampled_from(("", " ", "\t")))
+        text += draw(st.sampled_from(("\n", "\n", "\r\n")))
+    return text.encode()
+
+
+@settings(max_examples=400, deadline=None)
+@given(data=st.data(), width=st.sampled_from((3, 4)))
+def test_fast_cells_only_accepts_what_csv_reads_the_same(data, width):
+    chunk = data.draw(fast_alphabet_chunks(width))
+    cells = datafile._fast_cells(chunk, width)
+    if cells is not None:
+        assert cells.dtype == np.int8
+        assert cells.tolist() == reference_cells(chunk, width)
 
 
 @pytest.mark.parametrize(
