@@ -86,10 +86,12 @@ def cmd_simulate(args) -> int:
     cfg = _config_from_args(args)
     if args.n < 1:
         raise ValueError("--n must be >= 1")
+    # a bad seed is refused before --out is opened, so it leaves the file as it was
+    rng = make_rng(args.seed)
     # each slice is written as soon as it is drawn, so --n costs time and disk, not memory
     with open(args.out, "wb") as fh:
         rows = TriplesWriter(fh)
-        stream_dataset(cfg, args.n, make_rng(args.seed), rows.write)
+        stream_dataset(cfg, args.n, rng, rows.write)
     counts = rows.counts
     report = data_bell_margin_3(counts)
     c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in _triple_sums(counts))

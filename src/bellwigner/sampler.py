@@ -148,38 +148,36 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
     draw of column j in serial drawing order, a's n draws first, so the
     outcomes do not depend on how the trials are sliced.
 
-    A Philox ``rng`` has its slices of ``_DRAW_SLICE`` trials dealt in turn
-    to the calling thread and up to ``_THREADS - 1`` helpers, one thread per
-    full slice. Each column of a slice is raw 64-bit draws from the thread's
-    own Philox jumped ahead to that column's first draw of the slice and
-    compared with the integer limit of each probability (`_raw_limit`); a
-    conditional column is compared with both of its limits and a picks one
-    per trial (`_conditional`). Threads draw in parallel but visit in slice
-    order. The first error raised on any thread, in a draw or a visit,
-    stops them all and is raised here. ``rng`` is then left where serial
-    drawing would leave it. Any other generator cannot jump ahead, so it
-    draws all n trials as one slice, column after column, with
-    ``random()``: the same outcomes, in O(n) memory.
+    Sampling takes Philox generators (`make_rng`) and refuses others with
+    a ``TypeError`` before it draws. Slices of ``_DRAW_SLICE`` trials are
+    dealt in turn to the calling thread and up to ``_THREADS - 1`` helpers,
+    one thread per full slice. Each column of a slice is raw 64-bit draws
+    from the thread's own Philox jumped ahead to that column's first draw of
+    the slice and compared with the integer limit of each probability
+    (`_raw_limit`); a conditional column is compared with both of its limits
+    and a picks one per trial (`_conditional`). Threads draw in parallel but
+    visit in slice order. The first error raised on any thread, in a draw or
+    a visit, stops them all and is raised here. ``rng`` is then left where
+    serial drawing would leave it.
     """
     bg = rng.bit_generator
-    state = bg.state if isinstance(bg, np.random.Philox) else None
-    size = n if state is None else min(n, _DRAW_SLICE)
+    if not isinstance(bg, np.random.Philox):
+        raise TypeError(f"sampling takes a Philox generator (make_rng), not {type(bg).__name__}")
+    state = bg.state
+    size = min(n, _DRAW_SLICE)
     starts = range(0, n, size)
     # one thread per full slice: a short last slice is not worth a thread
     count = min(_THREADS, max(1, n // size))
     width = 1 + len(conditionals)
-    # per column, the thresholds of an outcome of +1 after a = -1 and a = +1
-    thresholds = [(0.5, 0.5), *conditionals]
-    if state is not None:
-        thresholds = [tuple(map(_raw_limit, pair)) for pair in thresholds]
+    # per column, the raw limits of an outcome of +1 after a = -1 and a = +1
+    column_limits = [tuple(map(_raw_limit, pair)) for pair in [(0.5, 0.5), *conditionals]]
     turn = threading.Condition()
     next_visit = 0
     errors = []  # a thread's error stops every thread and reaches the caller
 
     def work(t: int) -> None:
         nonlocal next_visit
-        own = None if state is None else np.random.Philox()
-        u = np.empty(size) if state is None else None
+        own = np.random.Philox()
         cols = np.empty((width, size), dtype=np.bool_)
         alt = np.empty(size, dtype=np.bool_)
         try:
@@ -188,11 +186,8 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
                 m = min(n - lo, size)
                 slice_cols = cols[:, :m]
                 a = slice_cols[0]
-                for j, (col, limits) in enumerate(zip(slice_cols, thresholds)):
-                    if state is None:
-                        draws = rng.random(out=u[:m])
-                    else:
-                        draws = _philox_at(own, state, j * n + lo).random_raw(m)
+                for j, (col, limits) in enumerate(zip(slice_cols, column_limits)):
+                    draws = _philox_at(own, state, j * n + lo).random_raw(m)
                     if j:
                         _conditional(draws, limits, a, col, alt[:m])
                     else:
@@ -218,8 +213,7 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
         thread.join()
     if errors:
         raise errors[0]
-    if state is not None:
-        _leave_at(bg, state, width * n)
+    _leave_at(bg, state, width * n)
 
 
 def _sample_columns(n: int, rng: np.random.Generator, conditionals) -> np.ndarray:
@@ -249,7 +243,8 @@ def stream_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator, visit) ->
 
     ``visit(columns)`` is called on each slice in trial order, ``columns``
     being the slice's bool (a, b, b') rows, True = +1, valid only during the
-    call. A Philox ``rng`` holds a slice of draws per thread at any n.
+    call. Sampling takes Philox generators (`make_rng`) and refuses others;
+    memory stays at a slice of draws per thread at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
@@ -315,6 +310,8 @@ def convergence_study(
     """
     if len(n_list) == 0:
         raise ValueError("n_list must be nonempty")
+    if n_list[0] < 1:
+        raise ValueError(f"n_list entries must be >= 1, got {list(n_list)}")
     if any(b <= a for a, b in zip(n_list, n_list[1:])):
         raise ValueError(f"n_list must be strictly ascending, got {list(n_list)}")
     target = third_correlation(cfg)

@@ -203,6 +203,20 @@ def test_simulate_rejects_bad_n(capsys, tmp_path):
     assert "--n" in err
 
 
+def test_simulate_bad_seed_leaves_out_untouched(capsys, tmp_path):
+    # the seed is checked before --out is opened, so nothing is truncated or made
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"a,b,bp\n+1,-1,+1\n-1,+1,+1\n+1,+1,-1\n-1,-1,-1\n+1,-1,-1\n")
+    before = existing.read_bytes()
+    absent = tmp_path / "absent.csv"
+    for out in (existing, absent):
+        rc, _, err = run(capsys, "simulate", "--n", "5", "--seed", "-1", "--out", str(out))
+        assert rc == 2
+        assert "seed" in err
+    assert existing.read_bytes() == before
+    assert not absent.exists()
+
+
 def test_analytic_paper_witness(capsys):
     rc, out, _ = run(capsys, "analytic", "--angles", WITNESS, "--mode", "paper")
     payload = json.loads(out)

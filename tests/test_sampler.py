@@ -1,4 +1,5 @@
 import itertools
+import json
 import math
 import os
 import sys
@@ -212,6 +213,8 @@ def test_convergence_study_validates_n_list():
         convergence_study(CFG, [100, 100], seed=1)
     with pytest.raises(ValueError):
         convergence_study(CFG, [1000, 10], seed=1)
+    with pytest.raises(ValueError, match=r"n_list .*\[0, 5\]"):
+        convergence_study(CFG, [0, 5], seed=1)
 
 
 def test_draws_do_not_depend_on_slice_size(monkeypatch):
@@ -349,10 +352,40 @@ def test_one_thread_per_full_slice(n, threads):
     assert threading.get_ident() in idents
 
 
-def test_non_philox_generator_is_one_slice_of_all_trials():
-    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
-        slices = _visited(50, np.random.Generator(np.random.PCG64(5)), [(0.2, 0.7)])
-    assert [(lo, c.shape) for lo, c in slices] == [(0, (2, 50))]
+def _state_text(bit_generator):
+    return json.dumps(bit_generator.state, default=np.ndarray.tolist, sort_keys=True)
+
+
+@pytest.mark.parametrize("bit_generator", [np.random.PCG64, np.random.MT19937])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda rng: sample_dataset(CFG, 50, rng),
+        lambda rng: stream_dataset(CFG, 50, rng, lambda columns: None),
+        lambda rng: matched_pairs_estimate(CFG, 50, rng),
+    ],
+    ids=["sample_dataset", "stream_dataset", "matched_pairs_estimate"],
+)
+def test_non_philox_generator_is_refused(call, bit_generator):
+    # only Philox can jump ahead to a slice's draws; any other generator is
+    # refused before a draw or a visit
+    rng = np.random.Generator(bit_generator(5))
+    before = _state_text(rng.bit_generator)
+    visits = []
+    driver = sampler._sample_slices
+
+    def recording_driver(n, rng, conditionals, visit):
+        def recorded(lo, columns):
+            visits.append(lo)
+            visit(lo, columns)
+
+        driver(n, rng, conditionals, recorded)
+
+    with mock.patch.object(sampler, "_sample_slices", recording_driver):
+        with pytest.raises(TypeError, match="make_rng"):
+            call(rng)
+    assert _state_text(rng.bit_generator) == before
+    assert visits == []
 
 
 @pytest.mark.parametrize("width", [1, 2, 3, 4])
@@ -452,16 +485,6 @@ def test_threaded_draws_match_serial_reference(
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
-
-
-def test_non_philox_generator_draws_serially():
-    def pcg():
-        return np.random.Generator(np.random.PCG64(5))
-
-    with mock.patch.object(sampler, "_sample_columns", _serial_sample_columns):
-        expected = _draws(CFG, 50, pcg())
-    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
-        assert _draws(CFG, 50, pcg()) == expected
 
 
 _RAW_TOP = 2**64 - 1
@@ -576,17 +599,6 @@ def test_streamed_sums_match_column_reference(
     finally:
         sys.setswitchinterval(interval)
     assert got == expected
-
-
-def test_streamed_sums_of_a_non_philox_generator_are_drawn_serially():
-    def pcg():
-        return np.random.Generator(np.random.PCG64(5))
-
-    rng = pcg()
-    expected = _sums_and_after(_triple_sums(PatternCounts.of(sample_dataset(CFG, 50, rng))), rng)
-    with mock.patch.multiple(sampler, _DRAW_SLICE=3, _THREADS=4):
-        rng = pcg()
-        assert _sums_and_after(sampler._sample_sums(CFG, 50, rng), rng) == expected
 
 
 def test_convergence_memory_does_not_grow_with_n():
