@@ -120,7 +120,7 @@ def bell_margin_parts(a, b, bp, k: float, mode: Mode):
     c_abp = -np.cos(2.0 * k * (bp - a))
     lhs = np.abs(c_ab - c_abp)
     if mode is Mode.PAPER:
-        rhs = 1.0 - np.cos(2.0 * k * (b - a)) * np.cos(2.0 * k * (bp - a))
+        rhs = 1.0 - c_ab * c_abp
     else:
         # third pair given the same -cos form as the measured pairs
         rhs = 1.0 - np.cos(2.0 * k * (b - bp))

@@ -129,34 +129,27 @@ def _fast_cells(chunk: bytes, width: int) -> np.ndarray | None:
 def _read_body(fh, width: int, cells) -> None:
     """Parse the rest of `fh` (binary, positioned after the header) into sink `cells`.
 
-    Chunks in the fast grammar are parsed with numpy. The first chunk that
-    is not hands everything from its first line on to the csv module, with
-    the line count carried over, so every rejection and every unusual
-    spelling is handled by the reference parser. The one thing that can
-    differ is which of two errors is reported when bytes that are not UTF-8
-    follow a bad cell closely: the text decoder raises when it decodes its
-    8 KiB block, and those blocks start where the csv module starts reading.
+    The body is read about 32 KiB at a time, each chunk read on to the end
+    of its line. Chunks in the fast grammar are parsed with numpy. The first
+    chunk that is not hands everything from its first line on to the csv
+    module, with the line count carried over, so every rejection and every
+    unusual spelling is handled by the reference parser. The one thing that
+    can differ is which of two errors is reported when bytes that are not
+    UTF-8 follow a bad cell closely: the text decoder raises when it decodes
+    its 8 KiB block, and those blocks start where the csv module starts
+    reading.
     """
     line = 2
-    pos = fh.tell()
-    carry = b""
     limit = csv.field_size_limit()
-    while True:
-        block = fh.read(_CHUNK_BYTES)
-        buf = carry + block
-        if not block:
-            if not buf:
-                return
-            if not buf.endswith(b"\n"):
-                buf += b"\n"
-        end = buf.rfind(b"\n") + 1
-        if end == 0 and len(buf) <= limit:
-            carry = buf
-            continue
+    while chunk := fh.read(_CHUNK_BYTES):
+        # ends at a \n, at the end of the file, or past the limit
+        chunk += fh.readline(limit)
         # a chunk no longer than the csv field limit keeps that limit out of play
-        values = _fast_cells(buf[:end], width) if len(buf) <= limit else None
+        values = None
+        if len(chunk) <= limit:
+            values = _fast_cells(chunk if chunk.endswith(b"\n") else chunk + b"\n", width)
         if values is None:
-            fh.seek(pos)
+            fh.seek(-len(chunk), io.SEEK_CUR)
             text = io.TextIOWrapper(fh, encoding="utf-8", newline="")
             try:
                 _extend_from_csv(csv.reader(text), width, cells, line)
@@ -164,9 +157,7 @@ def _read_body(fh, width: int, cells) -> None:
                 text.detach()  # the caller's file stays open
             return
         cells.frombytes(values)
-        line += buf.count(b"\n", 0, end)
-        pos += end
-        carry = buf[end:]
+        line += chunk.count(b"\n")
 
 
 class _PatternFold:
@@ -174,11 +165,11 @@ class _PatternFold:
 
     def __init__(self, width: int):
         self.width = width
-        self.total = PatternCounts(np.zeros(1 << width))
+        self.counts = np.zeros(1 << width, dtype=np.int64)
 
     def frombytes(self, cells) -> None:
         rows = np.frombuffer(cells, dtype=np.int8).reshape(-1, self.width)
-        self.total += PatternCounts.from_columns(rows.T)
+        self.counts += np.bincount(_pattern_codes(rows.T), minlength=self.counts.size)
 
 
 def _read(path: str, new_sink):
@@ -222,9 +213,9 @@ def read_pattern_counts(path: str) -> PatternCounts:
     errors and line numbers.
     """
     _, fold = _read(path, _PatternFold)
-    if fold.total.n == 0:
+    if not fold.counts.any():
         raise EmptyDataError(f"{path}: no data rows")
-    return fold.total
+    return PatternCounts(fold.counts)
 
 
 _ROW_BYTES = np.array([

@@ -260,6 +260,17 @@ def test_paper_margins_are_the_data_identity_applied_to_the_model(convention):
     assert np.abs((rhs - lhs) - (q[2] + q[5])).max() <= 1e-15
 
 
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL], ids=["spin", "optical"])
+def test_paper_bell_rhs_is_bit_identical_to_the_cosine_product(convention):
+    # the rhs reuses the negated correlations; negation is exact, so the
+    # bytes equal those of the product of the cosines computed afresh
+    k = half_angle_factor(convention)
+    a, b, bp = np.meshgrid(*[grid_angles(60)] * 3, indexing="ij")
+    _, rhs = bell_margin_parts(a, b, bp, k, Mode.PAPER)
+    reference = 1.0 - np.cos(2.0 * k * (b - a)) * np.cos(2.0 * k * (bp - a))
+    assert rhs.tobytes() == reference.tobytes()
+
+
 @given(configs)
 def test_bell_margin_is_four_times_the_smaller_wigner_margin(cfg):
     # the paper's Bell -> Wigner step as an identity, in each mode: with

@@ -186,7 +186,8 @@ BODY = "+1,-1,+1\n" * 4 + " 1,\t-1 ,+1\r\n" + "-1,-1,-1\n" * 4
     ids=["bad-cell", "ragged-row"],
 )
 def test_error_in_third_chunk_reports_its_line(tmp_path, bad, error):
-    # 9-byte rows and 20-byte reads: chunk k holds data lines 2k and 2k+1
+    # 9-byte rows and 10-byte reads, each read on to its line end: chunk k
+    # holds data lines 2k and 2k+1
     path = tmp_path / "d.csv"
     rows = ["+1,-1,+1\n"] * 8
     rows[5] = bad  # line 7, the second line of the third chunk
@@ -198,12 +199,12 @@ def test_error_in_third_chunk_reports_its_line(tmp_path, bad, error):
         handed_over.append((first_line, len(cells)))
         return reference(rows, width, cells, first_line)
 
-    with mock.patch.object(datafile, "_CHUNK_BYTES", 20), mock.patch.object(datafile, "_extend_from_csv", spy):
+    with mock.patch.object(datafile, "_CHUNK_BYTES", 10), mock.patch.object(datafile, "_extend_from_csv", spy):
         with pytest.raises(error) as info:
             read_outcome_csv(str(path))
     assert info.value.line == 7
     assert handed_over == [(6, 12)]  # two fast chunks, then the csv loop from line 6
-    assert assert_same_outcome(path, 20) == (error, 7)
+    assert assert_same_outcome(path, 10) == (error, 7)
 
 
 def test_hand_over_leaves_the_callers_file_open(tmp_path):
@@ -232,14 +233,17 @@ FAST_FILES = {
         b"a,b,bp\n" + "".join(",".join(row) + "\n" for row in MIXED).encode(),
         [[SPELLINGS[row[i]] for row in MIXED] for i in (0, 1)],
     ),
+    # a line longer than a chunk, but with no cell over the csv field limit
+    "long-line": (b"a,b,bp\n-1" + b" " * 40_000 + b",1,1\n+1,-1,1\n", [[-1, 1], [1, -1]]),
 }
 
 
 @pytest.mark.parametrize(
     "body, chunk_bytes",
     [("blanks-crlf", size) for size in (1, 7, 9, 10, 1 << 16)]
-    + [("mixed", size) for size in (1, 7, 1 << 16)],
-    ids=["1", "7", "9", "10", "65536", "mixed-1", "mixed-7", "mixed-65536"],
+    + [("mixed", size) for size in (1, 7, 1 << 16)]
+    + [("long-line", 1 << 15)],
+    ids=["1", "7", "9", "10", "65536", "mixed-1", "mixed-7", "mixed-65536", "long-line-32768"],
 )
 def test_fast_grammar_never_reaches_csv_loop(tmp_path, body, chunk_bytes):
     content, (a, b) = FAST_FILES[body]
