@@ -31,12 +31,9 @@ from .core import (
     Mode,
 )
 from .data_inequality import (
-    ExactCorrelation,
     PatternCounts,
-    cross_correlation,
     data_bell_margin_3,
     data_bell_margin_4,
-    quad_brackets,
 )
 from .sampler import (
     InsufficientMatchesError,

@@ -32,7 +32,6 @@ from .core import (
     Mode,
 )
 from .data_inequality import (
-    ExactCorrelation,
     _triple_sums,
     data_bell_margin_3,
     data_bell_margin_4,
@@ -94,7 +93,7 @@ def cmd_simulate(args) -> int:
         stream_dataset(cfg, args.n, rng, rows.write)
     counts = rows.counts
     report = data_bell_margin_3(counts)
-    c_ab, c_abp, c_bbp = (ExactCorrelation(s, args.n).value for s in _triple_sums(counts))
+    c_ab, c_abp, c_bbp = (s / args.n for s in _triple_sums(counts))
     summary = {
         "command": "simulate",
         "n": args.n,

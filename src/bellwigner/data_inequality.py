@@ -40,45 +40,6 @@ from .core import (
 )
 
 
-@dataclass(frozen=True)
-class ExactCorrelation:
-    """A correlation estimate held as an exact integer ratio sum(x*y)/N."""
-
-    numerator: int
-    denominator: int
-
-    def __post_init__(self) -> None:
-        if self.denominator < 1:
-            raise ValueError("denominator must be a positive trial count")
-        if abs(self.numerator) > self.denominator:
-            raise ValueError(
-                f"|{self.numerator}| exceeds trial count {self.denominator}"
-            )
-
-    @property
-    def value(self) -> float:
-        return self.numerator / self.denominator
-
-
-def cross_correlation(xs, ys) -> ExactCorrelation:
-    """Exact cross-correlation sum(x_i * y_i) / N of two aligned +-1 sequences."""
-    x = outcome_array(xs)
-    y = outcome_array(ys)
-    if x.shape[0] != y.shape[0]:
-        raise LengthMismatchError(
-            f"sequences differ in length: {x.shape[0]} vs {y.shape[0]}"
-        )
-    if x.shape[0] == 0:
-        raise EmptyDataError("cannot correlate empty sequences")
-    numerator = int((x * y).sum(dtype=np.int64))
-    return ExactCorrelation(numerator, x.shape[0])
-
-
-def quad_brackets(d: DataSetQuad) -> np.ndarray:
-    """Per-trial four-set combinations a*b + a*b' + a'*b - a'*b'; each is +-2."""
-    return d.a * (d.b + d.bp) + d.ap * (d.b - d.bp)
-
-
 def _exact_report(
     kind: InequalityKind, lhs_scaled: int, rhs_scaled: int, n: int
 ) -> InequalityReport:
@@ -132,13 +93,20 @@ class PatternCounts:
         object.__setattr__(self, "counts", counts)
 
     @classmethod
-    def from_columns(cls, columns: Sequence[np.ndarray]) -> PatternCounts:
-        """Counts of aligned +-1 columns in header order (not validated)."""
-        n = columns[0].shape[0]
+    def from_columns(cls, columns: Sequence) -> PatternCounts:
+        """Counts of aligned +-1 columns in header order.
+
+        Raises LengthMismatchError if the columns differ in length and
+        ValueError if any value is not +1 or -1.
+        """
+        lengths = tuple(len(c) for c in columns)
+        if len(set(lengths)) != 1:
+            raise LengthMismatchError(f"columns must have equal length, got {lengths}")
         counts = np.zeros(1 << len(columns), dtype=np.int64)
-        for lo in range(0, n, _COUNT_ROWS):
+        for lo in range(0, lengths[0], _COUNT_ROWS):
             s = slice(lo, lo + _COUNT_ROWS)
-            counts += np.bincount(_pattern_codes([c[s] for c in columns]), minlength=counts.size)
+            codes = _pattern_codes([outcome_array(c[s]) for c in columns])
+            counts += np.bincount(codes, minlength=counts.size)
         return cls(counts)
 
     @classmethod
@@ -176,8 +144,10 @@ def sign_patterns(width: int) -> list[tuple[int, ...]]:
 _TRIPLE_PRODUCTS = np.array(
     [[a * b, a * bp, b * bp] for a, b, bp in sign_patterns(3)], dtype=np.int64
 ).T
-# Each quad pattern's four-set bracket.
-_QUAD_BRACKETS = quad_brackets(DataSetQuad.from_trials(sign_patterns(4))).astype(np.int64)
+# Each quad pattern's four-set bracket a(b + b') + a'(b - b').
+_QUAD_BRACKETS = np.array(
+    [a * (b + bp) + ap * (b - bp) for a, ap, b, bp in sign_patterns(4)], dtype=np.int64
+)
 
 
 def _triple_sums(c: PatternCounts) -> tuple[int, int, int]:

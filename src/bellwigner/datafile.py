@@ -234,13 +234,17 @@ class TriplesWriter:
     def __init__(self, fh):
         fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
         self._fh = fh
-        self.counts = PatternCounts(np.zeros(8))
+        self._counts = np.zeros(8, dtype=np.int64)
 
     def write(self, columns) -> None:
         """Write one row per trial of the aligned (a, b, bp) columns, +-1 or bool (True = +1)."""
         code = _pattern_codes(columns)
-        self._fh.write(_ROW_BYTES[code])
-        self.counts += PatternCounts(np.bincount(code, minlength=8))
+        self._fh.write(np.take(_ROW_BYTES, code, axis=0))
+        self._counts += np.bincount(code, minlength=8)
+
+    @property
+    def counts(self) -> PatternCounts:
+        return PatternCounts(self._counts)
 
 
 def write_triples_csv(path: str, data: DataSetTriple) -> PatternCounts:

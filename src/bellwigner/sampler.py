@@ -33,7 +33,7 @@ import numpy as np
 
 from .analytic import half_angle_factor, sin2_cos2, third_correlation
 from .core import AngleConfig, ConvergenceRecord, DataSetTriple
-from .data_inequality import ExactCorrelation, _margin_3_from_sums
+from .data_inequality import _margin_3_from_sums
 
 
 class InsufficientMatchesError(RuntimeError):
@@ -320,6 +320,6 @@ def convergence_study(
         sab, sabp, sbbp = _sample_sums(cfg, n, make_rng(seed, stream=stream))
         if not _margin_3_from_sums(sab, sabp, sbbp, n).satisfied:
             raise RuntimeError("sampled data set failed the exact data identity")
-        estimate = ExactCorrelation(sbbp, n).value
+        estimate = sbbp / n
         records.append(ConvergenceRecord(n, estimate, target, seed))
     return records

@@ -9,55 +9,18 @@ from bellwigner import (
     DataSetQuad,
     DataSetTriple,
     EmptyDataError,
-    ExactCorrelation,
     InequalityKind,
     LengthMismatchError,
     Mode,
     PatternCounts,
-    cross_correlation,
     data_bell_margin_3,
     data_bell_margin_4,
-    quad_brackets,
 )
-from bellwigner.data_inequality import _pattern_codes, _triple_sums, sign_patterns
+from bellwigner.data_inequality import _QUAD_BRACKETS, _pattern_codes, _triple_sums, sign_patterns
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
 ALL_QUADS = list(itertools.product((1, -1), repeat=4))
-
-
-def test_exact_correlation_bounds():
-    c = ExactCorrelation(1, 3)
-    assert c.value == 1 / 3
-    with pytest.raises(ValueError):
-        ExactCorrelation(4, 3)
-    with pytest.raises(ValueError):
-        ExactCorrelation(0, 0)
-
-
-def test_cross_correlation_examples():
-    assert cross_correlation([1, 1, 1, 1], [1, 1, 1, 1]).value == 1.0
-    assert cross_correlation([1, -1, 1, -1], [1, -1, -1, 1]).value == 0.0
-    c = cross_correlation([1, 1, -1], [1, -1, -1])
-    assert (c.numerator, c.denominator) == (1, 3)
-
-
-def test_cross_correlation_errors():
-    with pytest.raises(LengthMismatchError):
-        cross_correlation([1, 1], [1])
-    with pytest.raises(EmptyDataError):
-        cross_correlation([], [])
-
-
-@given(st.lists(outcomes, min_size=1, max_size=50), st.data())
-def test_cross_correlation_symmetry_and_extremes(xs, data):
-    ys = data.draw(st.lists(outcomes, min_size=len(xs), max_size=len(xs)))
-    ab = cross_correlation(xs, ys)
-    ba = cross_correlation(ys, xs)
-    assert (ab.numerator, ab.denominator) == (ba.numerator, ba.denominator)
-    assert abs(ab.value) <= 1.0
-    assert cross_correlation(xs, xs).value == 1.0
-    assert cross_correlation(xs, [-x for x in xs]).value == -1.0
 
 
 def test_margin_3_equal_settings_has_zero_margin():
@@ -140,9 +103,9 @@ def test_margin_3_halves_have_coefficients_zero_or_four_on_every_pattern():
 def test_margin_4_halves_have_coefficients_zero_or_four_on_every_pattern():
     # 2N -+ (bracket total): on pattern p the coefficient is 2 -+ bracket
     coefficients = set()
-    for p, row in enumerate(itertools.product((-1, 1), repeat=4)):
+    for p, (a, ap, b, bp) in enumerate(itertools.product((-1, 1), repeat=4)):
         r = data_bell_margin_4(_unit_counts(4, p))
-        bracket = int(quad_brackets(DataSetQuad.from_trials([row]))[0])
+        bracket = a * (b + bp) + ap * (b - bp)
         assert r.lhs == abs(bracket)
         coefficients |= {2 - bracket, 2 + bracket}
     assert coefficients == {0, 4}
@@ -182,7 +145,31 @@ def test_sums_from_counts_equal_column_products():
         assert list(_triple_sums(counts)) == products
         quad = rng.integers(0, 2, size=(4, n), dtype=np.int8) * 2 - 1
         r = data_bell_margin_4(PatternCounts.of(DataSetQuad(*quad)))
-        assert r.lhs == abs(int(quad_brackets(DataSetQuad(*quad)).sum(dtype=np.int64))) / n
+        a, ap, b, bp = quad
+        total = int((a * (b + bp) + ap * (b - bp)).sum(dtype=np.int64))
+        assert r.lhs == abs(total) / n
+
+
+def _ab_sum(xs, ys) -> tuple[int, int]:
+    # sum(ab) over the counts of columns a = xs, b = ys (b' is a filler), and N
+    counts = PatternCounts.from_columns([xs, ys, xs])
+    return _triple_sums(counts)[0], counts.n
+
+
+def test_triple_sums_examples():
+    assert _ab_sum([1, 1, 1, 1], [1, 1, 1, 1]) == (4, 4)
+    assert _ab_sum([1, -1, 1, -1], [1, -1, -1, 1]) == (0, 4)
+    assert _ab_sum([1, 1, -1], [1, -1, -1]) == (1, 3)
+
+
+@given(st.lists(outcomes, min_size=1, max_size=50), st.data())
+def test_triple_sums_symmetry_and_extremes(xs, data):
+    ys = data.draw(st.lists(outcomes, min_size=len(xs), max_size=len(xs)))
+    s, n = _ab_sum(xs, ys)
+    assert _ab_sum(ys, xs) == (s, n)
+    assert n == len(xs) and abs(s) <= n
+    assert _ab_sum(xs, xs) == (n, n)
+    assert _ab_sum(xs, [-x for x in xs]) == (-n, n)
 
 
 def test_pattern_counts_reject_bad_values():
@@ -199,9 +186,20 @@ def test_pattern_counts_reject_bad_values():
 
 
 def test_quad_brackets_are_plus_minus_two_for_all_sixteen():
-    brackets = quad_brackets(DataSetQuad.from_trials(ALL_QUADS))
-    assert brackets.shape == (16,)
-    assert set(brackets.tolist()) == {-2, 2}
+    assert _QUAD_BRACKETS.shape == (16,)
+    assert set(_QUAD_BRACKETS.tolist()) == {-2, 2}
+
+
+def test_counts_from_columns_reject_unequal_lengths_and_non_outcomes():
+    # a length-1 column must not broadcast, and 0 / 2 must not count as -1 / +1
+    a, b, bp = np.array([1, -1, 1, 1]), np.array([1, 1, -1, 1]), np.array([-1, -1, 1, 1])
+    with pytest.raises(LengthMismatchError):
+        PatternCounts.from_columns([a, np.array([1]), bp])
+    for bad in (0, 2):
+        with pytest.raises(ValueError, match="only \\+1/-1 allowed"):
+            PatternCounts.from_columns([a, np.array([1, 1, bad, 1]), bp])
+    assert PatternCounts.from_columns([a, b, bp]).counts.tolist() == [0, 0, 1, 0, 0, 1, 1, 1]
+    assert PatternCounts.from_columns([a.tolist(), b.tolist(), bp.tolist()]).n == 4
 
 
 def test_margin_4_hand_examples():
