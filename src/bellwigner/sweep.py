@@ -3,12 +3,12 @@
 The grid is the half-open cube [0, 2pi)^3 at uniform spacing (a closed grid
 would double-count the periodic boundary). Every margin depends on the
 settings only through b - a and b' - a, so on this periodic grid the a-plane
-at index ia is the a = 0 plane rolled by ia along both axes. The census
-therefore evaluates one plane; record streams still walk every plane. Both
-evaluate a plane in blocks of b-rows of at most _BLOCK_POINTS points, so
-neither holds more than O(R) floats at any resolution: the census folds
-its count and minimum block by block, and a stream yields each block's
-rows before it evaluates the next.
+at index ia is the a = 0 plane rolled by ia along both axes. The census is
+an O(1) closed form (`violation_census`); min and argmin come from the float
+a = 0 plane, and record streams walk every plane. Both evaluate a plane in
+blocks of b-rows of at most _BLOCK_POINTS points, so neither holds more
+than O(R) floats at any resolution: a sweep folds its minimum block by
+block, and a stream yields each block's rows before the next.
 
 The margins are functions of grid differences, so a record stream repeats
 its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
@@ -33,8 +33,8 @@ from .analytic import (
 )
 from .core import AngleConfig, AngleConvention, InequalityKind, Mode
 
-# Counting threshold for violations, looser than the 1e-12 evaluation
-# tolerance so accumulated trig error can never fake a violation.
+# Reported as the sweep summary's `violation_threshold` for compatibility;
+# the census is exact and compares no margin with it.
 VIOLATION_THRESHOLD = 1e-9
 
 SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
@@ -110,20 +110,18 @@ def grid_sweep(
     """Evaluate one margin over the grid; returns min, argmin and violation count.
 
     Each margin is a function of (b - a, b' - a), so every a-plane holds the
-    margins of the a = 0 plane, rolled. The census is R times the a = 0
-    count and the minimum is the a = 0 minimum. `argmin` is the a = 0
+    margins of the a = 0 plane, rolled; the minimum is the a = 0 minimum
+    and the count is `violation_census`'s exact one. `argmin` is the a = 0
     representative of the minimizing configurations, which are defined up
     to a common translation of (a, b, b'). The plane is folded block by
     block; a later block takes the minimum only when strictly smaller, so
     `argmin` is the first minimum in (b, b') order, as np.argmin gives it.
     """
     angles = grid_angles(resolution)
-    violations = 0
     min_margin = np.inf
     at = 0
     for lo, lhs, rhs in _plane_blocks(angles, 0, convention, kind, mode):
         margin = rhs - lhs
-        violations += int(np.count_nonzero(margin < -VIOLATION_THRESHOLD))
         i = int(np.argmin(margin))
         if margin.flat[i] < min_margin:
             min_margin = margin.flat[i]
@@ -137,7 +135,7 @@ def grid_sweep(
         n_points=resolution**3,
         min_margin=float(min_margin),
         argmin=AngleConfig(0.0, float(angles[ib]), float(angles[ibp]), convention),
-        violations=resolution * violations,
+        violations=violation_census(resolution, convention)[(kind, mode)],
     )
 
 
@@ -227,10 +225,43 @@ def write_records_csv(
 def violation_census(
     resolution: int, convention: AngleConvention
 ) -> dict[tuple[InequalityKind, Mode], int]:
-    """Violation counts (margin < -1e-9) for each inequality kind and mode."""
-    census = {}
-    for kind in (InequalityKind.CORR_BELL, InequalityKind.WIGNER):
-        for mode in (Mode.PAPER, Mode.NAIVE):
-            result = grid_sweep(resolution, convention, kind, mode)
-            census[(kind, mode)] = result.violations
-    return census
+    """Violation counts over the R^3 grid for each inequality kind and mode, exactly.
+
+    No margin is evaluated. With x = b - a and y = b' - a, the NAIVE Wigner
+    margin is -sin(k(x - y)) cos(kx) sin(ky), so a point violates exactly
+    when the three factor signs multiply to +1. On the grid x = 2 pi i / R,
+    y = 2 pi j / R, each sign depends only on the indices (i, j):
+
+    - SPIN (k = 1/2): the factors are sin(pi (i - j) / R), cos(pi i / R) and
+      sin(pi j / R). The last is positive for every j > 0, and the first is
+      positive for j < i and negative for j > i. So row i > 0 holds i - 1
+      violations (j = 1..i-1) when 2i < R, R - 1 - i (j = i+1..R-1) when
+      2i > R, and none when 2i = R; row 0 holds none. The rows sum to
+      m(m - 1) with m = (R - 1) // 2.
+    - OPTICAL (k = 1) at odd R: the point (i, j) has the signs of the SPIN
+      point (2i mod R, 2j mod R) with an even number of them flipped, and
+      that relabelling is one-to-one, so the count is the same.
+    - OPTICAL at even R: moving i or j by R/2 flips two factor signs, so the
+      plane is four copies of the SPIN plane at R/2.
+
+    Every a-plane is the a = 0 plane rolled, so the Wigner count is R times
+    the plane's. The NAIVE Bell margin is 4 min(W(x, y), W(y, x)), so the
+    Bell violations are the Wigner set V joined with its transpose. In the
+    SPIN plane V lies in j < i < R/2 and R/2 < i < j, its transpose in
+    i < j < R/2 and R/2 < j < i; both relabellings treat i and j alike. So
+    the two are disjoint and Bell counts twice Wigner.
+    The PAPER Wigner margin is cos^2(kx) sin^2(ky), and the PAPER Bell
+    margin 4 min(W(x, y), W(y, x)), so PAPER never violates.
+    """
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    half_angle_factor(convention)  # raises on a bad convention
+    copies = 2 if convention is AngleConvention.OPTICAL and resolution % 2 == 0 else 1
+    m = (resolution // copies - 1) // 2
+    wigner = resolution * copies**2 * m * (m - 1)
+    return {
+        (InequalityKind.CORR_BELL, Mode.PAPER): 0,
+        (InequalityKind.CORR_BELL, Mode.NAIVE): 2 * wigner,
+        (InequalityKind.WIGNER, Mode.PAPER): 0,
+        (InequalityKind.WIGNER, Mode.NAIVE): wigner,
+    }

@@ -298,20 +298,138 @@ def test_census_patterns():
     assert census[(WIGNER, Mode.NAIVE)] > 0
 
 
-def test_census_closed_forms():
-    # NAIVE Wigner counts in closed form (optical only for 4 | R), NAIVE Bell
-    # twice NAIVE Wigner, PAPER none
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL])
+def test_census_matches_thresholded_float_count(convention):
+    # the float census the closed form replaced: R times the count of a = 0
+    # plane margins below -VIOLATION_THRESHOLD
     for resolution in range(3, 121):
+        expected = {}
+        for kind in (BELL, WIGNER):
+            for mode in (Mode.PAPER, Mode.NAIVE):
+                lhs, rhs = whole_plane(0, resolution, convention, kind, mode)
+                below = int(np.count_nonzero(rhs - lhs < -VIOLATION_THRESHOLD))
+                expected[(kind, mode)] = resolution * below
+        assert violation_census(resolution, convention) == expected, resolution
+
+
+# s with k x = pi s i / R on the grid: k = 1/2 for SPIN, 1 for OPTICAL
+STEPS = {SPIN: 1, OPTICAL: 2}
+
+
+def sin_sign(num, den):
+    """sign(sin(pi num / den)) for integer arrays, exactly, from num mod 2 den."""
+    rest = np.mod(num, 2 * den)
+    return np.sign(den - rest) * (rest != 0)
+
+
+def integer_census(resolution, convention):
+    """The census from the index signs of the factorised NAIVE Wigner margin.
+
+    A point (i, j) of the a = 0 plane violates when sin(pi s (i - j) / R),
+    cos(pi s i / R) = sin(pi (2 s i + R) / 2R) and sin(pi s j / R) multiply
+    to a positive number, with s = 1 for SPIN and 2 for OPTICAL. Bell
+    violates on that set or its transpose; PAPER never violates.
+    """
+    s = STEPS[convention]
+    i = np.arange(resolution, dtype=np.int32)[:, None]
+    j = i.T
+    wigner = (
+        sin_sign(s * (i - j), resolution)
+        * sin_sign(2 * s * i + resolution, 2 * resolution)
+        * sin_sign(s * j, resolution)
+    ) > 0
+    return {
+        (BELL, Mode.PAPER): 0,
+        (BELL, Mode.NAIVE): resolution * int(np.count_nonzero(wigner | wigner.T)),
+        (WIGNER, Mode.PAPER): 0,
+        (WIGNER, Mode.NAIVE): resolution * int(np.count_nonzero(wigner)),
+    }
+
+
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL])
+def test_census_matches_integer_sign_rule(convention):
+    for resolution in [*range(2, 301), 333, 1000, 2000]:
+        expected = integer_census(resolution, convention)
+        assert violation_census(resolution, convention) == expected, resolution
+        for kind, mode in expected:
+            result = grid_sweep(resolution, convention, kind, mode)
+            assert result.violations == expected[(kind, mode)], (resolution, kind, mode)
+
+
+def interval_census(resolution, convention):
+    """NAIVE Wigner violations over the R^3 grid, summed row by row over sign intervals.
+
+    In units P = s j, sin(pi P / R) changes sign at multiples of R and
+    sin(pi (s i - P) / R) at s i plus multiples of R. Between consecutive
+    breakpoints p <= q both signs are those at the midpoint, and the j with
+    p < s j < q number (q - 1) // s - p // s (clipped at 0 for p = q). The
+    cost is O(s R), not O(R^2).
+    """
+    s = STEPS[convention]
+    big = 2 * resolution
+    i = np.arange(resolution, dtype=np.int64)[:, None]
+    turns = np.arange(-s, s + 1) * resolution
+    edges = np.concatenate([np.broadcast_to(turns, (resolution, 2 * s + 1)), s * i + turns], axis=1)
+    edges = np.sort(np.clip(edges, 0, s * resolution), axis=1)
+    p, q = edges[:, :-1], edges[:, 1:]
+    inside = np.maximum((q - 1) // s - p // s, 0)
+    sides = sin_sign(p + q, big) * sin_sign(2 * s * i - p - q, big)
+    violates = sides * sin_sign(2 * s * i + resolution, big) > 0
+    return resolution * int((inside * violates).sum())
+
+
+def test_census_at_large_resolution_matches_interval_count():
+    resolution = 10**5
+    for convention in (SPIN, OPTICAL):
+        census = violation_census(resolution, convention)
+        assert census[(WIGNER, Mode.NAIVE)] == interval_census(resolution, convention)
+    # the column b' = a + 2 pi / R, where the 1e-9 float count read 49,996
+    i = np.arange(resolution)
+    factors = sin_sign(i - 1, resolution) * sin_sign(2 * i + resolution, 2 * resolution)
+    column = factors * sin_sign(1, resolution) > 0
+    assert int(np.count_nonzero(column)) == 49_998
+
+
+def test_interval_count_matches_integer_sign_rule():
+    for resolution in [*range(2, 41), 333]:
         for convention in (SPIN, OPTICAL):
-            census = violation_census(resolution, convention)
-            wigner = census[(WIGNER, Mode.NAIVE)]
-            assert census[(BELL, Mode.NAIVE)] == 2 * wigner, (resolution, convention)
-            assert census[(BELL, Mode.PAPER)] == census[(WIGNER, Mode.PAPER)] == 0
-            if convention is SPIN:
-                assert wigner == resolution * ((resolution - 1) // 2) * ((resolution - 3) // 2)
-            elif resolution % 4 == 0:
-                half = resolution // 2
-                assert wigner == resolution * (half - 2) * (half - 4)
+            expected = integer_census(resolution, convention)[(WIGNER, Mode.NAIVE)]
+            assert interval_census(resolution, convention) == expected, (resolution, convention)
+
+
+def test_census_evaluates_no_margin(monkeypatch):
+    def no_kernel(kind):
+        raise AssertionError("violation_census evaluated a margin")
+
+    monkeypatch.setattr(sweep, "_margin_parts", no_kernel)
+    assert violation_census(10**5, SPIN)[(WIGNER, Mode.NAIVE)] == 10**5 * 49_999 * 49_998
+
+
+def test_sweep_count_does_not_depend_on_the_kernel(monkeypatch):
+    expected = {
+        (kind, mode): grid_sweep(24, OPTICAL, kind, mode).violations
+        for kind in (BELL, WIGNER) for mode in (Mode.PAPER, Mode.NAIVE)
+    }
+
+    def always_violated(kind):
+        def parts(a, b, bp, k, mode):
+            shape = np.broadcast(b, bp).shape
+            return np.ones(shape), np.zeros(shape)
+        return parts
+
+    monkeypatch.setattr(sweep, "_margin_parts", always_violated)
+    for (kind, mode), violations in expected.items():
+        result = grid_sweep(24, OPTICAL, kind, mode)
+        assert result.min_margin == -1.0
+        assert result.violations == violations
+
+
+@pytest.mark.parametrize(
+    "resolution, convention", [(1, SPIN), (0, OPTICAL), (60, "spin"), (60, None)]
+)
+def test_census_rejects_bad_arguments(resolution, convention):
+    with pytest.raises(ValueError):
+        violation_census(resolution, convention)
 
 
 def test_census_pattern_holds_for_optical_convention():
