@@ -4,52 +4,66 @@ Exact +-1 data-set inequality identities, closed-form entangled-pair
 probabilities with the conditional third-pair construction, seeded Monte
 Carlo samplers, and angle-grid sweeps contrasting the conditional (PAPER)
 and substituted (NAIVE) evaluations.
+
+Each exported name is imported from its submodule on first use, so that
+`import bellwigner` (and the command line's argument parsing) does not load
+numpy.
 """
 
-from .analytic import (
-    bell_correlation,
-    bell_margin,
-    half_angle_factor,
-    joint_probability,
-    third_correlation,
-    third_pair_probabilities,
-    wigner_margin,
-    wigner_slack,
-)
-from .core import (
-    TOLERANCE,
-    AngleConfig,
-    AngleConvention,
-    ConvergenceRecord,
-    DataSetQuad,
-    DataSetTriple,
-    EmptyDataError,
-    InequalityKind,
-    InequalityReport,
-    JointProbabilities,
-    LengthMismatchError,
-    Mode,
-)
-from .data_inequality import (
-    PatternCounts,
-    data_bell_margin_3,
-    data_bell_margin_4,
-)
-from .sampler import (
-    InsufficientMatchesError,
-    convergence_study,
-    make_rng,
-    matched_pairs_estimate,
-    sample_dataset,
-)
-from .sweep import (
-    VIOLATION_THRESHOLD,
-    SweepResult,
-    grid_angles,
-    grid_sweep,
-    iter_records,
-    violation_census,
-    write_records_csv,
-)
+import importlib
 
 __version__ = "0.1.0"
+
+_SUBMODULE = {
+    "bell_correlation": "analytic",
+    "bell_margin": "analytic",
+    "half_angle_factor": "analytic",
+    "joint_probability": "analytic",
+    "third_correlation": "analytic",
+    "third_pair_probabilities": "analytic",
+    "wigner_margin": "analytic",
+    "wigner_slack": "analytic",
+    "TOLERANCE": "core",
+    "AngleConfig": "core",
+    "AngleConvention": "core",
+    "ConvergenceRecord": "core",
+    "DataSetQuad": "core",
+    "DataSetTriple": "core",
+    "EmptyDataError": "core",
+    "InequalityKind": "core",
+    "InequalityReport": "core",
+    "JointProbabilities": "core",
+    "LengthMismatchError": "core",
+    "Mode": "core",
+    "PatternCounts": "data_inequality",
+    "data_bell_margin_3": "data_inequality",
+    "data_bell_margin_4": "data_inequality",
+    "InsufficientMatchesError": "sampler",
+    "convergence_study": "sampler",
+    "make_rng": "sampler",
+    "matched_pairs_estimate": "sampler",
+    "sample_dataset": "sampler",
+    "VIOLATION_THRESHOLD": "sweep",
+    "SweepResult": "sweep",
+    "grid_angles": "sweep",
+    "grid_sweep": "sweep",
+    "iter_records": "sweep",
+    "violation_census": "sweep",
+    "write_records_csv": "sweep",
+}
+
+__all__ = list(_SUBMODULE)
+
+
+def __getattr__(name):
+    # an unknown name raises AttributeError, so `from bellwigner import sampler`
+    # goes on to import the submodule
+    if name not in _SUBMODULE:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(importlib.import_module(f".{_SUBMODULE[name]}", __name__), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

@@ -1,6 +1,11 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import hypothesis.strategies as st
+import pytest
 
 from bellwigner import AngleConfig, AngleConvention, DataSetTriple
 
@@ -14,3 +19,22 @@ outcomes = st.sampled_from((1, -1))
 trial_rows = st.tuples(outcomes, outcomes, outcomes)
 quad_rows = st.tuples(outcomes, outcomes, outcomes, outcomes)
 datasets = st.lists(trial_rows, min_size=1, max_size=64).map(DataSetTriple.from_trials)
+
+
+SRC = str(Path(__file__).resolve().parent.parent / "src")
+
+
+@pytest.fixture
+def python():
+    """Run code in a fresh interpreter that imports the package from src/; return its stdout."""
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+
+    def run(code, *args, cwd=None):
+        proc = subprocess.run(
+            [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True,
+            timeout=60,
+        )
+        assert proc.returncode == 0, proc.stderr
+        return proc.stdout
+
+    return run

@@ -2,18 +2,15 @@ import csv
 import json
 import math
 import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 from unittest import mock
 
 import pytest
 
 from bellwigner import AngleConfig, data_bell_margin_3, make_rng, sample_dataset
-from bellwigner import sampler
+from bellwigner import EmptyDataError, LengthMismatchError, datafile, sampler
 from bellwigner.cli import main
-from bellwigner.datafile import read_outcome_csv, write_triples_csv
+from bellwigner.datafile import DataParseError, read_outcome_csv, write_triples_csv
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
 
@@ -381,19 +378,75 @@ def test_convergence_rejects_bad_n_list(capsys):
     assert "--n-list" in err
 
 
-def test_cli_import_pulls_in_no_heavy_modules():
-    # every command pays for what importing the CLI loads: concurrent.futures
-    # alone adds ~0.7 MB to each command's peak RSS, numpy.ma ~1.5 MB, and
-    # fractions pulls in decimal
-    src = str(Path(__file__).resolve().parent.parent / "src")
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+def test_cli_import_pulls_in_no_heavy_modules(python):
+    # every command pays for what importing the CLI loads: numpy alone takes
+    # ~0.15 s, concurrent.futures adds ~0.7 MB to each command's peak RSS,
+    # numpy.ma ~1.5 MB, and fractions pulls in decimal
     code = (
         "import bellwigner.cli, sys; "
-        "print([m for m in ('concurrent.futures', 'logging', 'fractions', 'decimal', 'numpy.ma') "
-        "if m in sys.modules])"
+        "print([m for m in ('numpy', 'concurrent.futures', 'logging', 'fractions', 'decimal', "
+        "'numpy.ma') if m in sys.modules])"
     )
-    proc = subprocess.run(
-        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert python(code).strip() == "[]"
+
+
+# runs main(argv) and prints its exit code and the loaded module names last
+MODULES_AFTER_MAIN = """\
+import json, sys
+from bellwigner.cli import main
+try:
+    rc = main(sys.argv[1:])
+except SystemExit as exc:
+    rc = exc.code
+print(json.dumps([rc, sorted(sys.modules)]))
+"""
+
+
+def modules_after_main(python, *argv, cwd=None):
+    rc, modules = json.loads(python(MODULES_AFTER_MAIN, *argv, cwd=cwd).splitlines()[-1])
+    return rc, set(modules)
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [(["--help"], 0), (["sweep", "--help"], 0), (["sweep", "--resolution", "2x"], 2)],
+    ids=["help", "sweep-help", "usage-error"],
+)
+def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, code):
+    rc, modules = modules_after_main(python, *argv)
+    assert rc == code
+    assert "numpy" not in modules
+    assert {m for m in modules if m.startswith("bellwigner")} == {"bellwigner", "bellwigner.cli"}
+
+
+@pytest.mark.parametrize(
+    "argv, absent",
+    [
+        (["sweep", "--resolution", "12"], {"bellwigner.sampler", "bellwigner.datafile", "numpy.random"}),
+        (["check-data", "d.csv"], {"bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"}),
+        (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
+    ],
+    ids=["sweep", "check-data", "convergence"],
+)
+def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):
+    (tmp_path / "d.csv").write_text("a,b,bp\n+1,-1,+1\n")
+    rc, modules = modules_after_main(python, *argv, cwd=tmp_path)
+    assert rc in (0, 1)
+    assert "numpy" in modules
+    assert not modules & absent
+
+
+@pytest.mark.parametrize(
+    "error",
+    [DataParseError(3, "bad cell"), EmptyDataError("no trials"), LengthMismatchError("3 != 4")],
+    ids=lambda e: type(e).__name__,
+)
+def test_data_errors_inside_a_command_exit_two(capsys, monkeypatch, error):
+    def read_pattern_counts(path):
+        raise error
+
+    monkeypatch.setattr(datafile, "read_pattern_counts", read_pattern_counts)
+    rc, out, err = run(capsys, "check-data", "d.csv")
+    assert rc == 2
+    assert out == ""
+    assert err == f"error: {error}\n"
