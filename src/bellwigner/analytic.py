@@ -20,15 +20,17 @@ PAPER mode feeds that conditional third pair into the Bell and Wigner
 inequalities. It is the exact data identity applied to q in place of
 counts, so the margins are nonnegative for every setting choice. NAIVE mode
 substitutes the unconditional forms instead, which is what makes the
-textbook violations appear. The margin helpers are written with numpy
-ufuncs so the sweep module can evaluate them on whole angle grids.
+textbook violations appear. The margin helpers take plain Python floats,
+which they evaluate with `math`, or numpy arrays and scalars, which they
+evaluate with numpy ufuncs: the sweep's census calls them point by point
+without loading numpy, its record streams on whole blocks of the grid.
+The sweep tests check that both give a grid point's margin bit for bit.
 """
 
 from __future__ import annotations
 
+import math
 from typing import NamedTuple
-
-import numpy as np
 
 from .core import (
     TOLERANCE,
@@ -39,7 +41,16 @@ from .core import (
     JointProbabilities,
     Mode,
 )
-from .data_inequality import sign_patterns
+
+
+def _trig(*values):
+    """The module whose sin and cos to use: math for plain Python numbers, else numpy."""
+    for value in values:
+        if type(value) is not float and type(value) is not int:
+            import numpy
+
+            return numpy
+    return math
 
 
 def half_angle_factor(convention: AngleConvention) -> float:
@@ -57,7 +68,13 @@ def sin2_cos2(k: float, d):
     Given a fair A-side outcome, these are the conditional +1 probabilities
     at a setting d away: sin^2 after a +1, cos^2 after a -1.
     """
-    return np.sin(k * d) ** 2, np.cos(k * d) ** 2
+    return _sin2_cos2(_trig(k, d), k, d)
+
+
+def _sin2_cos2(trig, k, d):
+    # s * s is what numpy computes for s ** 2; Python's ** would call pow
+    s, c = trig.sin(k * d), trig.cos(k * d)
+    return s * s, c * c
 
 
 def _check_margin_mode(mode: Mode) -> None:
@@ -78,7 +95,7 @@ def bell_correlation(
 ) -> float:
     """Entangled-pair correlation -cos(2k(y - x)); equals 4 P++ - 1."""
     k = half_angle_factor(convention)
-    return float(-np.cos(2.0 * k * (y - x)))
+    return float(-_trig(x, y).cos(2.0 * k * (y - x)))
 
 
 class ThirdPairProbabilities(NamedTuple):
@@ -86,13 +103,17 @@ class ThirdPairProbabilities(NamedTuple):
     ppm: float
 
 
-def pattern_probabilities(a, b, bp, k: float) -> np.ndarray:
+def pattern_probabilities(a, b, bp, k: float):
     """The model's probability q of each sign pattern of (a, b, b'); broadcasts over arrays.
 
     The pattern axis comes first, in PatternCounts order: a is a fair +-1,
     then b and b' are drawn independently given it, each equal to a with
     probability sin^2(k d), d being its setting minus a.
     """
+    import numpy as np
+
+    from .data_inequality import sign_patterns
+
     s2b, c2b = sin2_cos2(k, b - a)
     s2bp, c2bp = sin2_cos2(k, bp - a)
     return np.array([
@@ -110,20 +131,22 @@ def third_pair_probabilities(cfg: AngleConfig) -> ThirdPairProbabilities:
 def third_correlation(cfg: AngleConfig) -> float:
     """Conditional third-pair correlation cos(2k(b-a)) * cos(2k(b'-a))."""
     k = half_angle_factor(cfg.convention)
-    return float(np.cos(2.0 * k * (cfg.b - cfg.a)) * np.cos(2.0 * k * (cfg.bp - cfg.a)))
+    cos = _trig(cfg.a, cfg.b, cfg.bp).cos
+    return float(cos(2.0 * k * (cfg.b - cfg.a)) * cos(2.0 * k * (cfg.bp - cfg.a)))
 
 
 def bell_margin_parts(a, b, bp, k: float, mode: Mode):
     """(lhs, rhs) of the correlation Bell inequality; broadcasts over arrays."""
     _check_margin_mode(mode)
-    c_ab = -np.cos(2.0 * k * (b - a))
-    c_abp = -np.cos(2.0 * k * (bp - a))
-    lhs = np.abs(c_ab - c_abp)
+    cos = _trig(a, b, bp, k).cos
+    c_ab = -cos(2.0 * k * (b - a))
+    c_abp = -cos(2.0 * k * (bp - a))
+    lhs = abs(c_ab - c_abp)
     if mode is Mode.PAPER:
         rhs = 1.0 - c_ab * c_abp
     else:
         # third pair given the same -cos form as the measured pairs
-        rhs = 1.0 - np.cos(2.0 * k * (b - bp))
+        rhs = 1.0 - cos(2.0 * k * (b - bp))
     return lhs, rhs
 
 
@@ -135,14 +158,16 @@ def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     the conditional P(+,-) of the (b, b') pair.
     """
     _check_margin_mode(mode)
-    s2b, c2b = sin2_cos2(k, b - a)
-    s2bp, c2bp = sin2_cos2(k, bp - a)
+    trig = _trig(a, b, bp, k)
+    s2b, c2b = _sin2_cos2(trig, k, b - a)
+    s2bp, c2bp = _sin2_cos2(trig, k, bp - a)
     lhs = 0.5 * s2b - 0.5 * s2bp
     if mode is Mode.PAPER:
         # q(a-, b+, b'-) + q(a+, b+, b'-), rounded as third_pair_probabilities rounds it
         rhs = 0.5 * c2b * s2bp + 0.5 * s2b * c2bp
     else:
-        rhs = 0.5 * np.sin(k * (b - bp)) ** 2
+        s = trig.sin(k * (b - bp))
+        rhs = 0.5 * (s * s)
     return lhs, rhs
 
 

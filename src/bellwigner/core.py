@@ -11,9 +11,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, fields
 from enum import Enum
-from typing import Sequence
+from typing import TYPE_CHECKING, Sequence
 
-import numpy as np
+if TYPE_CHECKING:
+    import numpy as np
 
 # Tolerance for floating-point probability/correlation identities. Double
 # precision leaves ~1e-15 headroom; 1e-12 absorbs accumulated trig error.
@@ -33,6 +34,8 @@ def outcome_array(values) -> np.ndarray:
 
     An int8 array is returned as is, not copied.
     """
+    import numpy as np
+
     arr = np.asarray(values)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D outcome sequence, got shape {arr.shape}")
@@ -77,6 +80,8 @@ class _OutcomeColumns:
         """Build from a sequence of row tuples or an (N, width) array of outcomes."""
         if len(rows) == 0:
             raise EmptyDataError("a data set needs at least one trial")
+        import numpy as np
+
         arr = np.asarray(rows)
         width = len(fields(cls))
         if arr.ndim != 2 or arr.shape[1] != width:

@@ -102,17 +102,22 @@ class PatternCounts:
         lengths = tuple(len(c) for c in columns)
         if len(set(lengths)) != 1:
             raise LengthMismatchError(f"columns must have equal length, got {lengths}")
-        counts = np.zeros(1 << len(columns), dtype=np.int64)
-        for lo in range(0, lengths[0], _COUNT_ROWS):
-            s = slice(lo, lo + _COUNT_ROWS)
-            codes = _pattern_codes([outcome_array(c[s]) for c in columns])
-            counts += np.bincount(codes, minlength=counts.size)
-        return cls(counts)
+        return cls._fold(columns, outcome_array)
 
     @classmethod
     def of(cls, data: DataSetTriple | DataSetQuad) -> PatternCounts:
-        """Counts of a data set's trials."""
-        return cls.from_columns([getattr(data, f.name) for f in fields(data)])
+        """Counts of a data set's trials, whose columns were checked when it was built."""
+        return cls._fold([getattr(data, f.name) for f in fields(data)], lambda column: column)
+
+    @classmethod
+    def _fold(cls, columns: Sequence, as_outcomes) -> PatternCounts:
+        # as_outcomes turns each slice of an equal-length column into int8 +-1
+        counts = np.zeros(1 << len(columns), dtype=np.int64)
+        for lo in range(0, len(columns[0]), _COUNT_ROWS):
+            s = slice(lo, lo + _COUNT_ROWS)
+            codes = _pattern_codes([as_outcomes(c[s]) for c in columns])
+            counts += np.bincount(codes, minlength=counts.size)
+        return cls(counts)
 
     @property
     def width(self) -> int:

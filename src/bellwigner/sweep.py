@@ -4,11 +4,12 @@ The grid is the half-open cube [0, 2pi)^3 at uniform spacing (a closed grid
 would double-count the periodic boundary). Every margin depends on the
 settings only through b - a and b' - a, so on this periodic grid the a-plane
 at index ia is the a = 0 plane rolled by ia along both axes. The census is
-an O(1) closed form (`violation_census`); min and argmin come from the float
-a = 0 plane, and record streams walk every plane. Both evaluate a plane in
-blocks of b-rows of at most _BLOCK_POINTS points, so neither holds more
-than O(R) floats at any resolution: a sweep folds its minimum block by
-block, and a stream yields each block's rows before the next.
+an O(1) closed form (`violation_census`). Its min and argmin are those of
+the float a = 0 plane, found from O(R) candidate points that the factorised
+margins single out and evaluated in plain floats, without numpy
+(`grid_sweep`). Record streams walk every plane with numpy, in blocks of
+b-rows of at most _BLOCK_POINTS points, and yield each block's rows before
+the next, so they hold O(R) floats at any resolution.
 
 The margins are functions of grid differences, so a record stream repeats
 its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
@@ -19,19 +20,23 @@ Zeros are never cached, because 0.0 == -0.0 would give both the same text.
 
 from __future__ import annotations
 
+import math
+from array import array
 from dataclasses import dataclass
-from itertools import repeat
-from typing import IO, Iterator
-
-import numpy as np
+from itertools import repeat, takewhile
+from typing import IO, TYPE_CHECKING, Iterator
 
 from .analytic import (
     _check_margin_mode,
     bell_margin_parts,
     half_angle_factor,
+    sin2_cos2,
     wigner_margin_parts,
 )
 from .core import AngleConfig, AngleConvention, InequalityKind, Mode
+
+if TYPE_CHECKING:
+    import numpy as np
 
 # Reported as the sweep summary's `violation_threshold` for compatibility;
 # the census is exact and compares no margin with it.
@@ -44,9 +49,14 @@ SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
 # about 1 MB; at larger resolutions the cache thrashes but stays bounded.
 _TEXT_CACHE_LIMIT = 1 << 13
 
-# (b, bp) points of one a-plane evaluated at a time, as whole b-rows (one
-# row if a row is longer). An R=60 plane of 3,600 points is one block.
+# (b, bp) points of one a-plane that a record stream evaluates at a time,
+# as whole b-rows (one row if a row is longer). An R=60 plane of 3,600
+# points is one block.
 _BLOCK_POINTS = 1 << 12
+
+# Rounding allowance delta of grid_sweep's candidate set; its docstring
+# derives it.
+_ALLOWANCE = 1e-13
 
 
 @dataclass(frozen=True)
@@ -65,6 +75,8 @@ def grid_angles(resolution: int) -> np.ndarray:
     """Uniform half-open grid over [0, 2pi) with `resolution` points."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
+    import numpy as np
+
     return np.arange(resolution) * (2.0 * np.pi / resolution)
 
 
@@ -113,19 +125,87 @@ def grid_sweep(
     margins of the a = 0 plane, rolled; the minimum is the a = 0 minimum
     and the count is `violation_census`'s exact one. `argmin` is the a = 0
     representative of the minimizing configurations, which are defined up
-    to a common translation of (a, b, b'). The plane is folded block by
-    block; a later block takes the minimum only when strictly smaller, so
-    `argmin` is the first minimum in (b, b') order, as np.argmin gives it.
+    to a common translation of (a, b, b'): the first minimum of the float
+    a = 0 plane in (b, b') order, as np.argmin gives it.
+
+    Only O(R) candidate points of that plane are evaluated, with the same
+    kernel, in plain floats and without numpy. With u = kx, v = ky the grid
+    angles of b and b' scaled by k, the exact margins factorise:
+
+    - NAIVE Wigner W(u, v) = -cos u sin(u - v) sin v
+      = (1/2) cos^2 u - (1/2) cos u cos(u - 2v), so every point of row u
+      is at least L(u) = (1/2)|cos u|(|cos u| - 1). Rows are visited in
+      increasing L, and the visit stops at the first row whose L exceeds
+      the least margin found so far plus the allowance delta.
+    - PAPER Wigner W(u, v) = cos^2 u sin^2 v >= 0, while the point (0, 0)
+      evaluates to 0.0 exactly. So only points with cos^2 u sin^2 v at
+      or below delta can round to the minimum: in each row, a prefix of
+      the columns sorted by sin^2 v.
+    - Bell is 4 min(W(u, v), W(v, u)) in both modes, so it takes the
+      Wigner candidates and their transposes: every NAIVE row whose 4 L
+      passes, with the column of the same index, and the transposed
+      PAPER points.
+
+    Rounding. Let e = 2^-53 and let every sine and cosine lie within t of
+    its true value at its float argument (b - b' rounds by at most
+    2 pi e; scaling by k or 2k is exact). To first order a computed margin
+    is then within 6t + 21e of the exact margin at the same float angles,
+    4 L within 2t + 3e of its value and cos^2 u sin^2 v within 4t + 3e.
+    A point left out is therefore strictly above the minimum as long as
+    delta >= 10t + 24e (PAPER Wigner needs the most: the product's error
+    plus the margin's), and delta = 1e-13 holds that for any t up to
+    2^-47, 32 units in the last place of 1; a correctly rounded sine is
+    within 2^-53. Ties are kept in (b, b') order, so the first minimum
+    wins wherever it is visited.
+
+    The row bounds, or sin^2 v by column, fill one array of R floats that
+    is allocated before any loop, so a resolution too large for memory
+    raises MemoryError at once.
     """
-    angles = grid_angles(resolution)
-    min_margin = np.inf
-    at = 0
-    for lo, lhs, rhs in _plane_blocks(angles, 0, convention, kind, mode):
-        margin = rhs - lhs
-        i = int(np.argmin(margin))
-        if margin.flat[i] < min_margin:
-            min_margin = margin.flat[i]
-            at = lo * resolution + i
+    parts = _margin_parts(kind)
+    _check_margin_mode(mode)
+    violations = violation_census(resolution, convention)[(kind, mode)]
+    k = half_angle_factor(convention)
+    step = 2.0 * math.pi / resolution
+    bell = kind is InequalityKind.CORR_BELL
+    try:
+        work = array("d", [0.0]) * resolution
+    except MemoryError:
+        raise MemoryError(f"resolution {resolution} needs {8 * resolution:,} bytes") from None
+    best, at = math.inf, 0
+
+    def visit(points):
+        nonlocal best, at
+        for ib, ibp in points:
+            lhs, rhs = parts(0.0, ib * step, ibp * step, k, mode)
+            margin = rhs - lhs
+            if margin <= best:
+                flat = ib * resolution + ibp
+                if margin < best or flat < at:
+                    best, at = margin, flat
+
+    lines = range(resolution)
+    if mode is Mode.NAIVE:
+        scale = 4.0 if bell else 1.0
+        for i in lines:
+            c = abs(math.cos(k * (i * step)))
+            work[i] = scale * (0.5 * c * (c - 1.0))
+        for i in sorted(lines, key=work.__getitem__):
+            if work[i] > best + _ALLOWANCE:
+                break
+            visit((i, j) for j in lines)
+            if bell:
+                visit((j, i) for j in lines)
+    else:
+        for j in lines:
+            work[j] = sin2_cos2(k, j * step)[0]
+        columns = sorted(lines, key=work.__getitem__)
+        for i in lines:
+            c2 = sin2_cos2(k, i * step)[1]
+            prefix = list(takewhile(lambda j: c2 * work[j] <= _ALLOWANCE, columns))
+            visit((i, j) for j in prefix)
+            if bell:
+                visit((j, i) for j in prefix)
     ib, ibp = divmod(at, resolution)
     return SweepResult(
         kind=kind,
@@ -133,9 +213,9 @@ def grid_sweep(
         convention=convention,
         resolution=resolution,
         n_points=resolution**3,
-        min_margin=float(min_margin),
-        argmin=AngleConfig(0.0, float(angles[ib]), float(angles[ibp]), convention),
-        violations=violation_census(resolution, convention)[(kind, mode)],
+        min_margin=float(best),
+        argmin=AngleConfig(0.0, ib * step, ibp * step, convention),
+        violations=violations,
     )
 
 

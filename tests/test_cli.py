@@ -327,18 +327,19 @@ def test_convergence_json_output(tmp_path, capsys):
 @pytest.mark.parametrize(
     "argv",
     [
-        # the census holds O(R) floats, so only an angle grid that cannot be
+        # the census holds O(R) floats, so only a working set that cannot be
         # allocated (8 PB at R = 10^15) is refused
-        ["sweep", "--resolution", str(10**15)],
+        ["sweep", "--resolution", str(10**15), "--kind", kind, "--mode", mode]
+        for kind in ("bell", "wigner") for mode in ("paper", "naive")
     ],
-    ids=["sweep"],
+    ids=["sweep-bell-paper", "sweep-bell-naive", "sweep-wigner-paper", "sweep-wigner-naive"],
 )
 def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv):
     # each size fails at its first allocation, so nothing large is ever touched
     monkeypatch.chdir(tmp_path)
     rc, out, err = run(capsys, *argv)
     assert rc == 2
-    assert err.startswith("error:")
+    assert err.startswith(f"error: resolution {10**15} needs")
     assert "Traceback" not in err
 
 
@@ -383,7 +384,7 @@ def test_cli_import_pulls_in_no_heavy_modules(python):
     # ~0.15 s, concurrent.futures adds ~0.7 MB to each command's peak RSS,
     # numpy.ma ~1.5 MB, and fractions pulls in decimal
     code = (
-        "import bellwigner.cli, sys; "
+        "import bellwigner.cli, bellwigner.core, bellwigner.analytic, bellwigner.sweep, sys; "
         "print([m for m in ('numpy', 'concurrent.futures', 'logging', 'fractions', 'decimal', "
         "'numpy.ma') if m in sys.modules])"
     )
@@ -422,17 +423,25 @@ def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, c
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        (["sweep", "--resolution", "12"], {"bellwigner.sampler", "bellwigner.datafile", "numpy.random"}),
+        # the census evaluates its candidate points in plain floats
+        (
+            ["sweep", "--resolution", "12"],
+            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
+        ),
+        (
+            ["sweep", "--resolution", "12", "--out", "r.csv"],
+            {"bellwigner.sampler", "bellwigner.datafile", "numpy.random"},
+        ),
         (["check-data", "d.csv"], {"bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"}),
         (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
     ],
-    ids=["sweep", "check-data", "convergence"],
+    ids=["sweep", "sweep-out", "check-data", "convergence"],
 )
 def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):
     (tmp_path / "d.csv").write_text("a,b,bp\n+1,-1,+1\n")
     rc, modules = modules_after_main(python, *argv, cwd=tmp_path)
     assert rc in (0, 1)
-    assert "numpy" in modules
+    assert ("numpy" in modules) is ("numpy" not in absent)
     assert not modules & absent
 
 

@@ -16,6 +16,7 @@ from bellwigner import (
     data_bell_margin_3,
     data_bell_margin_4,
 )
+from bellwigner import data_inequality
 from bellwigner.data_inequality import _QUAD_BRACKETS, _pattern_codes, _triple_sums, sign_patterns
 from conftest import datasets, outcomes, quad_rows, trial_rows
 
@@ -119,6 +120,28 @@ def test_counts_of_two_halves_add_to_the_whole(rows, data):
              for part in (rows[:cut], rows[cut:])]
     assert parts[0] + parts[1] == whole
     assert whole.n == len(rows) and whole.width == 3
+
+
+@given(
+    st.one_of(
+        st.lists(trial_rows, min_size=1, max_size=64).map(DataSetTriple.from_trials),
+        st.lists(quad_rows, min_size=1, max_size=64).map(DataSetQuad.from_trials),
+    ),
+    st.sampled_from([1, 5, 1 << 16]),
+)
+def test_counts_of_a_data_set_fold_its_checked_columns_as_they_are(d, count_rows):
+    # the data set checked its +-1 columns when it was built, so `of` folds
+    # them straight into the counts; from_columns checks them again
+    columns = [np.array(c) for c in vars(d).values()]
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(data_inequality, "_COUNT_ROWS", count_rows)
+        expected = PatternCounts.from_columns(columns)
+
+        def unchecked(values):
+            raise AssertionError("PatternCounts.of re-checked its columns")
+
+        mp.setattr(data_inequality, "outcome_array", unchecked)
+        assert PatternCounts.of(d) == expected
 
 
 @pytest.mark.parametrize("rows", [ALL_TRIPLES, ALL_QUADS], ids=["triple", "quad"])

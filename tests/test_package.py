@@ -80,8 +80,11 @@ def test_import_loads_no_numpy_until_a_name_is_used(python):
         "print('numpy' in sys.modules, 'bellwigner.core' in sys.modules)\n"
         "bellwigner.AngleConfig\n"
         "print('numpy' in sys.modules, 'bellwigner.core' in sys.modules)\n"
+        "bellwigner.PatternCounts\n"
+        "print('numpy' in sys.modules)\n"
     )
-    assert python(code).split() == ["False", "False", "True", "True"]
+    # core imports numpy only inside the functions that build arrays
+    assert python(code).split() == ["False", "False", "False", "True", "True"]
 
 
 def test_submodules_import_through_the_package(python):

@@ -130,19 +130,49 @@ GRID_CASES = dict(
 )
 
 
-@settings(deadline=None)
-@given(**GRID_CASES)
-def test_blocked_sweep_matches_whole_plane(resolution, convention, kind, mode, block):
-    lhs, rhs = whole_plane(0, resolution, convention, kind, mode)
-    margin = rhs - lhs
-    ib, ibp = divmod(int(np.argmin(margin)), resolution)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_BLOCK_POINTS", block_points(block, resolution))
+CASES = [
+    (convention, kind, mode)
+    for convention in (SPIN, OPTICAL) for kind in (BELL, WIGNER) for mode in (Mode.PAPER, Mode.NAIVE)
+]
+
+
+@pytest.mark.parametrize("convention, kind, mode", CASES)
+def test_candidate_sweep_matches_whole_plane(convention, kind, mode):
+    # the first minimum of the numpy a = 0 plane, bit for bit
+    for resolution in [*range(2, 301), 333, 1000, 2000]:
+        lhs, rhs = whole_plane(0, resolution, convention, kind, mode)
+        margin = rhs - lhs
+        ib, ibp = divmod(int(np.argmin(margin)), resolution)
         result = grid_sweep(resolution, convention, kind, mode)
+        angles = grid_angles(resolution)
+        assert result.min_margin.hex() == float(margin[ib, ibp]).hex(), resolution
+        assert (result.argmin.b, result.argmin.bp) == (angles[ib], angles[ibp]), resolution
+
+
+@pytest.mark.parametrize("convention, kind, mode", CASES)
+def test_no_point_off_the_candidates_beats_the_minimum_at_large_resolution(convention, kind, mode):
+    # 20 random rows and 20 random columns of the R = 10^5 plane, through
+    # the numpy kernel: nothing below the minimum, nor equal to it earlier
+    resolution = 10**5
+    result = grid_sweep(resolution, convention, kind, mode)
     angles = grid_angles(resolution)
-    assert result.violations == resolution * int((margin < -VIOLATION_THRESHOLD).sum())
-    assert result.min_margin.hex() == float(margin[ib, ibp]).hex()
-    assert (result.argmin.b, result.argmin.bp) == (angles[ib], angles[ibp])
+    at = int(np.flatnonzero(angles == result.argmin.b)[0]) * resolution + int(
+        np.flatnonzero(angles == result.argmin.bp)[0]
+    )
+    parts = bell_margin_parts if kind is BELL else wigner_margin_parts
+    k = half_angle_factor(convention)
+    rng = np.random.default_rng(2024)
+    flat = np.arange(resolution)
+    for ib in rng.choice(resolution, 20, replace=False):
+        lhs, rhs = parts(0.0, angles[ib], angles, k, mode)
+        margin = rhs - lhs
+        assert not (margin < result.min_margin).any(), ib
+        assert not ((margin == result.min_margin) & (ib * resolution + flat < at)).any(), ib
+    for ibp in rng.choice(resolution, 20, replace=False):
+        lhs, rhs = parts(0.0, angles, angles[ibp], k, mode)
+        margin = rhs - lhs
+        assert not (margin < result.min_margin).any(), ibp
+        assert not ((margin == result.min_margin) & (flat * resolution + ibp < at)).any(), ibp
 
 
 @settings(max_examples=40, deadline=None)
@@ -161,18 +191,37 @@ def test_blocked_record_rows_match_whole_plane(resolution, convention, kind, mod
         assert next(rows, None) is None
 
 
-def test_tied_minimum_across_blocks_keeps_the_first():
+def test_tied_minimum_keeps_the_first():
     # R=5 spin naive Bell takes its minimum at plane indices 7, 11, 19 and
-    # 23 exactly; one row per block puts the first two in different blocks
+    # 23 exactly; 7 = (1, 2) lies in column 2 of a candidate index, while
+    # row 1 is no candidate
     lhs, rhs = whole_plane(0, 5, SPIN, BELL, Mode.NAIVE)
     margin = (rhs - lhs).ravel()
     assert np.flatnonzero(margin == margin.min()).tolist() == [7, 11, 19, 23]
     angles = grid_angles(5)
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_BLOCK_POINTS", 5)
-        result = grid_sweep(5, SPIN, BELL, Mode.NAIVE)
+    result = grid_sweep(5, SPIN, BELL, Mode.NAIVE)
     assert (result.argmin.b, result.argmin.bp) == (angles[1], angles[2])
     assert result.min_margin == margin[7]
+
+
+@pytest.mark.parametrize("convention", [SPIN, OPTICAL])
+def test_paper_bell_candidates_hold_both_exact_zero_lines(monkeypatch, convention):
+    # the PAPER Bell margin 4 min(W(u, v), W(v, u)) is exactly 0 on row 0
+    # and on column 0. A kernel that lowers one of those points must see it
+    # found; row 0 is a candidate only as the transpose of column 0
+    angles = grid_angles(12).tolist()
+    kernel = bell_margin_parts
+    for ib, ibp in [(0, j) for j in range(12)] + [(i, 0) for i in range(12)]:
+        def lowered(kind, at=(angles[ib], angles[ibp])):
+            def parts(a, b, bp, k, mode):
+                lhs, rhs = kernel(a, b, bp, k, mode)
+                return (lhs + 1.0 if (b, bp) == at else lhs), rhs
+            return parts
+
+        monkeypatch.setattr(sweep, "_margin_parts", lowered)
+        result = grid_sweep(12, convention, BELL, Mode.PAPER)
+        assert (result.argmin.b, result.argmin.bp) == (angles[ib], angles[ibp])
+        assert abs(result.min_margin + 1.0) < 1e-12
 
 
 def _peak_bytes(call):
@@ -186,8 +235,8 @@ def _peak_bytes(call):
 
 @pytest.mark.parametrize("resolution", [1000, 2000])
 def test_census_memory_does_not_grow_with_resolution(resolution):
-    # a whole R=2000 plane is 32 MB per float64 array; row blocks hold a few
-    # 2^12-point arrays and the O(R) grid at any resolution
+    # a whole R=2000 plane is 32 MB per float64 array; the candidate sweep
+    # holds one O(R) array of row bounds and their sorted order
     grid_sweep(60, SPIN, WIGNER, Mode.NAIVE)  # warm-up
     peak = _peak_bytes(lambda: grid_sweep(resolution, SPIN, WIGNER, Mode.NAIVE))
     assert peak < 2 * 2**20, peak
