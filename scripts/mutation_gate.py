@@ -1,0 +1,131 @@
+#!/usr/bin/env python3
+"""Mutation gate for the fast paths: every listed mutant must fail its tests.
+
+Each mutant is one source edit (a file, a text that occurs in it exactly
+once, and its replacement) and the test file that must kill it. The gate
+copies `src/`, `tests/` and `pyproject.toml` into a temporary directory,
+applies one edit at a time, runs that test file there with pytest (`-x`),
+and restores the file. A mutant dies when pytest reports failed tests; it
+survives when they all pass. The gate prints one line per mutant and exits
+0 only if every mutant died.
+
+    python scripts/mutation_gate.py
+
+It re-runs whole test files, so it takes minutes and is not part of the
+test suite; `tests/test_scripts.py` checks only that every edit still
+applies to the source.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parent.parent
+SWEEP = "src/bellwigner/sweep.py"
+ANALYTIC = "src/bellwigner/analytic.py"
+
+
+class Mutant(NamedTuple):
+    name: str
+    path: str  # relative to the repository root
+    old: str  # occurs exactly once in `path`
+    new: str
+    tests: str  # the test file that must fail
+
+
+MUTANTS = (
+    # the census minimum: candidate rows and points of grid_sweep
+    Mutant(
+        "census allowance delta = 0",
+        SWEEP,
+        "_ALLOWANCE = 1e-13",
+        "_ALLOWANCE = 0.0",
+        "tests/test_sweep.py",
+    ),
+    Mutant(
+        "NAIVE Bell columns dropped",
+        SWEEP,
+        "            visit((i, j) for j in lines)\n"
+        "            if bell:\n"
+        "                visit((j, i) for j in lines)\n",
+        "            visit((i, j) for j in lines)\n",
+        "tests/test_sweep.py",
+    ),
+    Mutant(
+        "PAPER Bell transposes dropped",
+        SWEEP,
+        "            visit((i, j) for j in prefix)\n"
+        "            if bell:\n"
+        "                visit((j, i) for j in prefix)\n",
+        "            visit((i, j) for j in prefix)\n",
+        "tests/test_sweep.py",
+    ),
+    # the record streams: per-plane terms, per-row NAIVE terms, the combiners
+    Mutant(
+        "records from plane 0, rolled",
+        SWEEP,
+        "terms = [term(math, k, x - a) for x in angles]",
+        "terms = [term(math, k, angles[(j - ia) % resolution]) for j in range(resolution)]",
+        "tests/test_sweep.py",
+    ),
+    Mutant(
+        "b - b' as (b - a) - (b' - a)",
+        SWEEP,
+        "third(math, k, b - bp) for bp in angles",
+        "third(math, k, (b - a) - (bp - a)) for bp in angles",
+        "tests/test_sweep.py",
+    ),
+    # halving is exact, so 0.5 * (c2b * s2bp + s2b * c2bp) would be the
+    # same floats; sin^2 as 1 - cos^2 is the same rhs rounded otherwise
+    Mutant(
+        "Wigner PAPER rhs with sin^2 as 1 - cos^2",
+        ANALYTIC,
+        "0.5 * c2b * s2bp + 0.5 * s2b * c2bp",
+        "0.5 * c2b * (1.0 - c2bp) + 0.5 * s2b * c2bp",
+        "tests/test_golden.py",
+    ),
+)
+
+
+def run_mutant(copy: Path, mutant: Mutant) -> int:
+    """Pytest's exit code for `mutant.tests` with the edit applied in `copy`."""
+    target = copy / mutant.path
+    original = target.read_text()
+    if original.count(mutant.old) != 1:
+        raise ValueError(f"{mutant.name}: the edited text must occur once in {mutant.path}")
+    target.write_text(original.replace(mutant.old, mutant.new))
+    env = dict(os.environ, PYTHONPATH=str(copy / "src"), PYTHONDONTWRITEBYTECODE="1")
+    try:
+        return subprocess.run(
+            [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", mutant.tests],
+            cwd=copy, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+        ).returncode
+    finally:
+        target.write_text(original)
+
+
+def main() -> int:
+    not_killed = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        copy = Path(tmp)
+        for name in ("src", "tests"):
+            shutil.copytree(ROOT / name, copy / name, ignore=shutil.ignore_patterns("__pycache__"))
+        shutil.copy2(ROOT / "pyproject.toml", copy / "pyproject.toml")
+        for mutant in MUTANTS:
+            code = run_mutant(copy, mutant)
+            # pytest exits 1 when tests failed; any other code is no kill
+            verdict = "killed" if code == 1 else "SURVIVED" if code == 0 else f"ERROR (exit {code})"
+            not_killed += code != 1
+            print(f"{verdict:<16} {mutant.name}  [{mutant.tests}]", flush=True)
+    print(f"{len(MUTANTS) - not_killed} of {len(MUTANTS)} mutants killed")
+    return 1 if not_killed else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

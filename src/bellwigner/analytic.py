@@ -22,9 +22,13 @@ counts, so the margins are nonnegative for every setting choice. NAIVE mode
 substitutes the unconditional forms instead, which is what makes the
 textbook violations appear. The margin helpers take plain Python floats,
 which they evaluate with `math`, or numpy arrays and scalars, which they
-evaluate with numpy ufuncs: the sweep's census calls them point by point
-without loading numpy, its record streams on whole blocks of the grid.
-The sweep tests check that both give a grid point's margin bit for bit.
+evaluate with numpy ufuncs. Each margin has two steps that serve both: the
+terms of one setting difference (`_bell_term`, `_sin2_cos2`; in NAIVE mode
+also the third pair's at b - b', `_bell_term`, `_wigner_third`), then
+(lhs, rhs) from the terms (`_bell_sides`, `_wigner_sides`). The sweep's
+census calls the whole kernel point by point and its record streams the
+steps, neither loading numpy; the sweep tests check that both give a grid
+point's numpy margin bit for bit.
 """
 
 from __future__ import annotations
@@ -135,19 +139,52 @@ def third_correlation(cfg: AngleConfig) -> float:
     return float(cos(2.0 * k * (cfg.b - cfg.a)) * cos(2.0 * k * (cfg.bp - cfg.a)))
 
 
+def _bell_term(trig, k, d):
+    """-cos(2k d): the correlation of a pair at setting difference d."""
+    return -trig.cos(2.0 * k * d)
+
+
+def _bell_sides(c_ab, c_abp, c_bbp):
+    """(lhs, rhs) of the correlation Bell inequality from its terms; floats or arrays.
+
+    c_ab, c_abp and c_bbp are `_bell_term` at b - a, b' - a and b - b';
+    c_bbp is None in PAPER mode. 1 + c_bbp rounds as 1 - cos(2k(b - b'))
+    does: IEEE subtraction is addition of the negated operand.
+    """
+    lhs = abs(c_ab - c_abp)
+    if c_bbp is None:
+        return lhs, 1.0 - c_ab * c_abp
+    # third pair given the same -cos form as the measured pairs
+    return lhs, 1.0 + c_bbp
+
+
 def bell_margin_parts(a, b, bp, k: float, mode: Mode):
     """(lhs, rhs) of the correlation Bell inequality; broadcasts over arrays."""
     _check_margin_mode(mode)
-    cos = _trig(a, b, bp, k).cos
-    c_ab = -cos(2.0 * k * (b - a))
-    c_abp = -cos(2.0 * k * (bp - a))
-    lhs = abs(c_ab - c_abp)
-    if mode is Mode.PAPER:
-        rhs = 1.0 - c_ab * c_abp
-    else:
-        # third pair given the same -cos form as the measured pairs
-        rhs = 1.0 - cos(2.0 * k * (b - bp))
-    return lhs, rhs
+    trig = _trig(a, b, bp, k)
+    third = _bell_term(trig, k, b - bp) if mode is Mode.NAIVE else None
+    return _bell_sides(_bell_term(trig, k, b - a), _bell_term(trig, k, bp - a), third)
+
+
+def _wigner_third(trig, k, d):
+    """sin(k d) at d = b - b': the NAIVE Wigner bound is half its square."""
+    return trig.sin(k * d)
+
+
+def _wigner_sides(terms_b, terms_bp, sin_bbp):
+    """(lhs, rhs) of the Wigner inequality from its terms; floats or arrays.
+
+    terms_b and terms_bp are the `_sin2_cos2` pairs at b - a and b' - a;
+    sin_bbp is `_wigner_third` at b - b' in NAIVE mode and None in PAPER
+    mode.
+    """
+    s2b, c2b = terms_b
+    s2bp, c2bp = terms_bp
+    lhs = 0.5 * s2b - 0.5 * s2bp
+    if sin_bbp is None:
+        # q(a-, b+, b'-) + q(a+, b+, b'-), rounded as third_pair_probabilities rounds it
+        return lhs, 0.5 * c2b * s2bp + 0.5 * s2b * c2bp
+    return lhs, 0.5 * (sin_bbp * sin_bbp)
 
 
 def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
@@ -159,16 +196,8 @@ def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     """
     _check_margin_mode(mode)
     trig = _trig(a, b, bp, k)
-    s2b, c2b = _sin2_cos2(trig, k, b - a)
-    s2bp, c2bp = _sin2_cos2(trig, k, bp - a)
-    lhs = 0.5 * s2b - 0.5 * s2bp
-    if mode is Mode.PAPER:
-        # q(a-, b+, b'-) + q(a+, b+, b'-), rounded as third_pair_probabilities rounds it
-        rhs = 0.5 * c2b * s2bp + 0.5 * s2b * c2bp
-    else:
-        s = trig.sin(k * (b - bp))
-        rhs = 0.5 * (s * s)
-    return lhs, rhs
+    third = _wigner_third(trig, k, b - bp) if mode is Mode.NAIVE else None
+    return _wigner_sides(_sin2_cos2(trig, k, b - a), _sin2_cos2(trig, k, bp - a), third)
 
 
 def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:

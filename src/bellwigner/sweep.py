@@ -7,9 +7,10 @@ at index ia is the a = 0 plane rolled by ia along both axes. The census is
 an O(1) closed form (`violation_census`). Its min and argmin are those of
 the float a = 0 plane, found from O(R) candidate points that the factorised
 margins single out and evaluated in plain floats, without numpy
-(`grid_sweep`). Record streams walk every plane with numpy, in blocks of
-b-rows of at most _BLOCK_POINTS points, and yield each block's rows before
-the next, so they hold O(R) floats at any resolution.
+(`grid_sweep`). Record streams walk every plane in plain floats too, row by
+row: the kernel's per-setting terms once per plane, its NAIVE third-pair
+terms once per row, each point's sides from those (`_record_rows`). They
+hold O(R) floats at any resolution and load no numpy either.
 
 The margins are functions of grid differences, so a record stream repeats
 its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
@@ -27,7 +28,12 @@ from itertools import repeat, takewhile
 from typing import IO, TYPE_CHECKING, Iterator
 
 from .analytic import (
+    _bell_sides,
+    _bell_term,
     _check_margin_mode,
+    _sin2_cos2,
+    _wigner_sides,
+    _wigner_third,
     bell_margin_parts,
     half_angle_factor,
     sin2_cos2,
@@ -48,11 +54,6 @@ SWEEP_CSV_COLUMNS = ("a", "b", "bp", "kind", "mode", "lhs", "rhs", "margin")
 # cleared whole. 2^13 holds most of an R=60 stream's distinct values for
 # about 1 MB; at larger resolutions the cache thrashes but stays bounded.
 _TEXT_CACHE_LIMIT = 1 << 13
-
-# (b, bp) points of one a-plane that a record stream evaluates at a time,
-# as whole b-rows (one row if a row is longer). An R=60 plane of 3,600
-# points is one block.
-_BLOCK_POINTS = 1 << 12
 
 # Rounding allowance delta of grid_sweep's candidate set; its docstring
 # derives it.
@@ -80,6 +81,25 @@ def grid_angles(resolution: int) -> np.ndarray:
     return np.arange(resolution) * (2.0 * np.pi / resolution)
 
 
+def _floats(resolution: int) -> array:
+    """`resolution` zero floats in one array('d'); MemoryError at once if too many."""
+    try:
+        return array("d", [0.0]) * resolution
+    except MemoryError:
+        raise MemoryError(f"resolution {resolution} needs {8 * resolution:,} bytes") from None
+
+
+def _grid_floats(resolution: int) -> array:
+    """`grid_angles(resolution)` as plain floats, bit for bit: i * (2pi / R)."""
+    if resolution < 2:
+        raise ValueError("resolution must be >= 2")
+    angles = _floats(resolution)
+    step = 2.0 * math.pi / resolution
+    for i in range(resolution):
+        angles[i] = i * step
+    return angles
+
+
 def _margin_parts(kind: InequalityKind):
     """The (lhs, rhs) kernel that grid sweeps evaluate for `kind`."""
     if kind is InequalityKind.CORR_BELL:
@@ -89,28 +109,20 @@ def _margin_parts(kind: InequalityKind):
     raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
 
 
-def _plane_blocks(
-    angles: np.ndarray,
-    ia: int,
-    convention: AngleConvention,
-    kind: InequalityKind,
-    mode: Mode,
-) -> Iterator[tuple[int, np.ndarray, np.ndarray]]:
-    """(ib_lo, lhs, rhs) for consecutive blocks of b-rows of the a-plane at index `ia`.
+def _margin_steps(kind: InequalityKind):
+    """(term, third, sides): the kernel of `kind` in the steps record streams take.
 
-    Each block covers the rows ib_lo, ib_lo + 1, ... over every bp, at most
-    _BLOCK_POINTS points (one row if a row is longer). The kernel gets the
-    block's b as a column and every bp as a row, so each term of b or of bp
-    alone is evaluated at rows + R points, not rows * R; the elementwise
-    results are those of a meshgrid.
+    term(trig, k, d) is a measured pair's term at setting difference d,
+    third(trig, k, d) the NAIVE third pair's at d = b - b', and
+    sides(term_b, term_bp, third) the (lhs, rhs) of a point, with third
+    None in PAPER mode; `bell_margin_parts` and `wigner_margin_parts` are
+    the same steps on whole arrays.
     """
-    parts = _margin_parts(kind)
-    k = half_angle_factor(convention)
-    resolution = len(angles)
-    rows = max(1, _BLOCK_POINTS // resolution)
-    for lo in range(0, resolution, rows):
-        lhs, rhs = parts(angles[ia], angles[lo : lo + rows, None], angles[None, :], k, mode)
-        yield lo, lhs, rhs
+    if kind is InequalityKind.CORR_BELL:
+        return _bell_term, _bell_term, _bell_sides
+    if kind is InequalityKind.WIGNER:
+        return _sin2_cos2, _wigner_third, _wigner_sides
+    raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
 
 
 def grid_sweep(
@@ -168,10 +180,7 @@ def grid_sweep(
     k = half_angle_factor(convention)
     step = 2.0 * math.pi / resolution
     bell = kind is InequalityKind.CORR_BELL
-    try:
-        work = array("d", [0.0]) * resolution
-    except MemoryError:
-        raise MemoryError(f"resolution {resolution} needs {8 * resolution:,} bytes") from None
+    work = _floats(resolution)
     best, at = math.inf, 0
 
     def visit(points):
@@ -224,15 +233,24 @@ def _record_rows(
     convention: AngleConvention,
     kind: InequalityKind,
     mode: Mode,
-) -> Iterator[tuple[int, int, list[float], list[float], list[float]]]:
-    """(ia, ib, lhs, rhs, margin) per plane row, the last three as lists over bp."""
-    angles = grid_angles(resolution)
-    for ia in range(resolution):
-        for lo, lhs, rhs in _plane_blocks(angles, ia, convention, kind, mode):
-            margin = rhs - lhs
-            # one row at a time keeps O(R) Python floats alive, not O(R^2)
-            for row, (left, right, gap) in enumerate(zip(lhs, rhs, margin), lo):
-                yield ia, row, left.tolist(), right.tolist(), gap.tolist()
+) -> Iterator[tuple[int, int, list[tuple[float, float]]]]:
+    """(ia, ib, sides) per plane row, sides the (lhs, rhs) of each bp, in plain floats.
+
+    The kernel's steps (`_margin_steps`): once per a-plane the term of each
+    grid angle x at x - a, which serves as the term of b and of bp; in
+    NAIVE mode once per b-row the third-pair term of each b - bp; then each
+    point's (lhs, rhs) from those terms. Only O(R) floats are alive.
+    """
+    angles = _grid_floats(resolution)
+    k = half_angle_factor(convention)
+    term, third, sides = _margin_steps(kind)
+    _check_margin_mode(mode)
+    naive = mode is Mode.NAIVE
+    for ia, a in enumerate(angles):
+        terms = [term(math, k, x - a) for x in angles]
+        for ib, b in enumerate(angles):
+            thirds = [third(math, k, b - bp) for bp in angles] if naive else repeat(None)
+            yield ia, ib, list(map(sides, repeat(terms[ib]), terms, thirds))
 
 
 def iter_records(
@@ -242,9 +260,11 @@ def iter_records(
     mode: Mode,
 ) -> Iterator[tuple[float, float, float, float, float, float]]:
     """Stream every grid point as (a, b, bp, lhs, rhs, margin), in (a, b, bp) index order."""
-    angles = grid_angles(resolution).tolist()
-    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
-        yield from zip(repeat(angles[ia]), repeat(angles[ib]), angles, lhs, rhs, margin)
+    angles = _grid_floats(resolution)
+    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
+        a, b = angles[ia], angles[ib]
+        for bp, (lhs, rhs) in zip(angles, row):
+            yield a, b, bp, lhs, rhs, rhs - lhs
 
 
 def _float_text():
@@ -282,22 +302,24 @@ def write_records_csv(
     cache of at most _TEXT_CACHE_LIMIT entries that is cleared whole when
     full (`_float_text`); the bytes are those of one repr per cell. Zeros
     are never cached, since 0.0 == -0.0 would give -0.0 the text of 0.0.
-    The arguments are checked before anything is written.
+    The arguments are checked, and the angle table allocated, before
+    anything is written.
     """
     # each call raises on a bad argument, before the header is written
-    angles = [repr(x) for x in grid_angles(resolution).tolist()]
+    angles = [repr(x) for x in _grid_floats(resolution)]
     half_angle_factor(convention)
-    _margin_parts(kind)
+    _margin_steps(kind)
     _check_margin_mode(mode)
     out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
     tails = [f"{bp},{kind.name},{mode.name}," for bp in angles]
     get, miss = _float_text()
-    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
+    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
         pre = f"{angles[ia]},{angles[ib]},"
         out.write("".join([
             f"{pre}{tail}{get(left) or miss(left)},{get(right) or miss(right)},"
             f"{get(gap) or miss(gap)}\n"
-            for tail, left, right, gap in zip(tails, lhs, rhs, margin)
+            for tail, (left, right) in zip(tails, row)
+            for gap in (right - left,)
         ]))
     return resolution**3
 

@@ -423,19 +423,23 @@ def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, c
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        # the census evaluates its candidate points in plain floats
+        # the census and the record streams evaluate the kernel in plain floats
         (
             ["sweep", "--resolution", "12"],
             {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
         ),
         (
             ["sweep", "--resolution", "12", "--out", "r.csv"],
-            {"bellwigner.sampler", "bellwigner.datafile", "numpy.random"},
+            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
+        ),
+        (
+            ["sweep", "--resolution", "12", "--out", "-"],
+            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
         ),
         (["check-data", "d.csv"], {"bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"}),
         (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
     ],
-    ids=["sweep", "sweep-out", "check-data", "convergence"],
+    ids=["sweep", "sweep-out", "sweep-out-stdout", "check-data", "convergence"],
 )
 def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):
     (tmp_path / "d.csv").write_text("a,b,bp\n+1,-1,+1\n")

@@ -34,6 +34,10 @@ def sha256(path):
         (60, "bell", "paper", "spin", "fb4f2cc5a0aa4e16438ff0b671f277314ff909d8e7187ddac3e451ca17fb45bd"),
         (60, "wigner", "naive", "optical", "634dcc1964a84a5f0fa5655161a1aeb193e4e48ac24b3e7bc77d50a0546ab175"),
         (60, "bell", "paper", "optical", "9245c3a295834a4e50073a766d9a6c09daf8448fbed89eedcc1107b4bf360753"),
+        (60, "bell", "naive", "spin", "dc711639bf98a4b710b676dee58dd9b083023f5e8bcb1754ca30abed8eac7c35"),
+        (60, "wigner", "paper", "spin", "f1ec1a000868fc8627085496cb5c1641de916af8aca14c53cf0ae2060d20b577"),
+        (60, "bell", "naive", "optical", "7b9ff5516ea57332f7e6c25d4609add8a50bcb715f146658d8ab93c59de275cd"),
+        (60, "wigner", "paper", "optical", "f62cd992cf852a0809f91f938de8f211c84ac16e9f1d1eb3fca45a5dcc061937"),
     ],
 )
 def test_sweep_records_bytes(tmp_path, capsys, resolution, kind, mode, convention, digest):
@@ -54,8 +58,8 @@ def test_sweep_records_bytes(tmp_path, capsys, resolution, kind, mode, conventio
     ],
 )
 def test_sweep_census_json_bytes(capsys, kind, mode, digest):
-    # an R=200 plane spans several row blocks, so the summary pins the
-    # count, the minimum margin and the first argmin across blocks
+    # the R=200 summary pins the count, the minimum margin and the first
+    # argmin of the candidate sweep
     main(["sweep", "--kind", kind, "--mode", mode, "--resolution", "200"])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 

@@ -1,5 +1,6 @@
-"""The experiment scripts run end to end at small sizes and print their reports."""
+"""The scripts run end to end at small sizes and print their reports; the mutation gate's edits apply."""
 
+import importlib.util
 import os
 import subprocess
 import sys
@@ -30,3 +31,16 @@ def test_script_runs_and_reports(script, args, line):
     )
     assert proc.returncode == 0, proc.stderr
     assert any(text.startswith(line) for text in proc.stdout.splitlines()), proc.stdout
+
+
+def test_mutation_gate_edits_apply_to_the_source():
+    # the gate itself re-runs test files and stays out of the suite; here
+    # each of its edits must still find its one target and name a test file
+    spec = importlib.util.spec_from_file_location("mutation_gate", ROOT / "scripts" / "mutation_gate.py")
+    gate = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(gate)
+    assert gate.MUTANTS
+    for mutant in gate.MUTANTS:
+        assert (ROOT / mutant.path).read_text().count(mutant.old) == 1, mutant.name
+        assert mutant.new != mutant.old, mutant.name
+        assert (ROOT / mutant.tests).is_file(), mutant.name

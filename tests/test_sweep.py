@@ -23,7 +23,7 @@ from bellwigner import (
 )
 from bellwigner import sweep
 from bellwigner.analytic import bell_margin_parts, half_angle_factor, wigner_margin_parts
-from bellwigner.sweep import SWEEP_CSV_COLUMNS, _float_text, _record_rows
+from bellwigner.sweep import SWEEP_CSV_COLUMNS, _float_text, _grid_floats, _record_rows
 
 SPIN = AngleConvention.SPIN
 OPTICAL = AngleConvention.OPTICAL
@@ -36,6 +36,14 @@ def test_grid_angles_half_open_uniform():
     assert grid_angles(60).max() < 2 * math.pi
     with pytest.raises(ValueError):
         grid_angles(1)
+
+
+def test_record_path_angles_are_grid_angles():
+    # the record path builds its angles without numpy, bit for bit
+    for resolution in range(2, 2001):
+        assert grid_angles(resolution).tolist() == list(_grid_floats(resolution)), resolution
+    with pytest.raises(ValueError):
+        _grid_floats(1)
 
 
 def test_smallest_grid_completes():
@@ -106,19 +114,11 @@ def test_sweep_matches_brute_force_grid(resolution, convention, kind, mode):
 
 
 def whole_plane(ia, resolution, convention, kind, mode):
-    """(lhs, rhs) over the whole (b, bp) plane of a-index `ia`: the unblocked reference."""
+    """(lhs, rhs) over the whole (b, bp) plane of a-index `ia`: the numpy reference."""
     angles = grid_angles(resolution)
     b, bp = np.meshgrid(angles, angles, indexing="ij")
     parts = bell_margin_parts if kind is BELL else wigner_margin_parts
     return parts(angles[ia], b, bp, half_angle_factor(convention), mode)
-
-
-def block_points(choice, resolution):
-    """_BLOCK_POINTS for a named choice: 1, a row less or more one point, a row, the default."""
-    return {
-        "one": 1, "row-1": resolution - 1, "row": resolution, "row+1": resolution + 1,
-        "default": sweep._BLOCK_POINTS,
-    }[choice]
 
 
 GRID_CASES = dict(
@@ -126,7 +126,6 @@ GRID_CASES = dict(
     convention=st.sampled_from([SPIN, OPTICAL]),
     kind=st.sampled_from([BELL, WIGNER]),
     mode=st.sampled_from([Mode.PAPER, Mode.NAIVE]),
-    block=st.sampled_from(["one", "row-1", "row", "row+1", "default"]),
 )
 
 
@@ -175,20 +174,29 @@ def test_no_point_off_the_candidates_beats_the_minimum_at_large_resolution(conve
         assert not ((margin == result.min_margin) & (flat * resolution + ibp < at)).any(), ibp
 
 
+def assert_record_rows_match_whole_plane(resolution, convention, kind, mode):
+    rows = _record_rows(resolution, convention, kind, mode)
+    for ia in range(resolution):
+        lhs, rhs = whole_plane(ia, resolution, convention, kind, mode)
+        plane = list(islice(rows, resolution))
+        assert [row[:2] for row in plane] == [(ia, ib) for ib in range(resolution)]
+        got = np.array([row[2] for row in plane])
+        # bitwise: tobytes tells -0.0 from 0.0
+        assert got[..., 0].tobytes() == lhs.tobytes(), (resolution, ia)
+        assert got[..., 1].tobytes() == rhs.tobytes(), (resolution, ia)
+    assert next(rows, None) is None
+
+
 @settings(max_examples=40, deadline=None)
 @given(**GRID_CASES)
-def test_blocked_record_rows_match_whole_plane(resolution, convention, kind, mode, block):
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(sweep, "_BLOCK_POINTS", block_points(block, resolution))
-        rows = _record_rows(resolution, convention, kind, mode)
-        for ia in range(resolution):
-            lhs, rhs = whole_plane(ia, resolution, convention, kind, mode)
-            plane = list(islice(rows, resolution))
-            assert [row[:2] for row in plane] == [(ia, ib) for ib in range(resolution)]
-            got = [np.array([row[j] for row in plane]) for j in (2, 3, 4)]
-            # bitwise: tobytes tells -0.0 from 0.0
-            assert [g.tobytes() for g in got] == [e.tobytes() for e in (lhs, rhs, rhs - lhs)]
-        assert next(rows, None) is None
+def test_record_rows_match_whole_plane(resolution, convention, kind, mode):
+    assert_record_rows_match_whole_plane(resolution, convention, kind, mode)
+
+
+@pytest.mark.parametrize("convention, kind, mode", CASES)
+def test_record_rows_match_whole_plane_at_every_small_resolution(convention, kind, mode):
+    for resolution in range(2, 41):
+        assert_record_rows_match_whole_plane(resolution, convention, kind, mode)
 
 
 def test_tied_minimum_keeps_the_first():
@@ -243,7 +251,7 @@ def test_census_memory_does_not_grow_with_resolution(resolution):
 
 
 def test_record_rows_start_in_o_r_memory():
-    # the first rows of an R=3000 stream come from one row block, not a
+    # the first rows of an R=3000 stream come from O(R) terms, not a
     # 9*10^6-point plane
     def first_rows():
         return list(islice(_record_rows(3000, SPIN, BELL, Mode.NAIVE), 4))
@@ -261,6 +269,16 @@ def test_iter_records_covers_grid_in_order():
     assert records[-1][:3] == (angles[-1],) * 3
     assert records[1][:3] == (0.0, 0.0, angles[1])
     assert all(type(r) is tuple and len(r) == 6 for r in records)
+
+
+def test_huge_resolution_fails_before_any_record():
+    # the angle table is one allocation made before the header is written
+    buf = io.StringIO()
+    with pytest.raises(MemoryError, match="resolution 1000000000000000 needs"):
+        write_records_csv(buf, 10**15, SPIN, WIGNER, Mode.NAIVE)
+    assert buf.getvalue() == ""
+    with pytest.raises(MemoryError, match="needs 8,000,000,000,000,000 bytes"):
+        next(iter_records(10**15, SPIN, BELL, Mode.PAPER))
 
 
 def test_write_records_csv_streams_all_rows():
@@ -298,11 +316,11 @@ def reference_records_csv(out, resolution, convention, kind, mode):
     out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
     angles = [repr(x) for x in grid_angles(resolution).tolist()]
     names = f"{kind.name},{mode.name}"
-    for ia, ib, lhs, rhs, margin in _record_rows(resolution, convention, kind, mode):
+    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
         pre = f"{angles[ia]},{angles[ib]},"
         out.write("".join([
-            f"{pre}{bp},{names},{left!r},{right!r},{gap!r}\n"
-            for bp, left, right, gap in zip(angles, lhs, rhs, margin)
+            f"{pre}{bp},{names},{left!r},{right!r},{right - left!r}\n"
+            for bp, (left, right) in zip(angles, row)
         ]))
 
 
