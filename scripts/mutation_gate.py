@@ -29,6 +29,7 @@ from typing import NamedTuple
 ROOT = Path(__file__).resolve().parent.parent
 SWEEP = "src/bellwigner/sweep.py"
 ANALYTIC = "src/bellwigner/analytic.py"
+DATAFILE = "src/bellwigner/datafile.py"
 
 
 class Mutant(NamedTuple):
@@ -89,6 +90,29 @@ MUTANTS = (
         "0.5 * c2b * s2bp + 0.5 * s2b * c2bp",
         "0.5 * c2b * (1.0 - c2bp) + 0.5 * s2b * c2bp",
         "tests/test_golden.py",
+    ),
+    # check-data's fast path: the flag-plane grammar and the canonical rows
+    Mutant(
+        "sign-before-1 check dropped",
+        DATAFILE,
+        "    if after_sign & c != after_sign:\n"
+        "        return None  # \"+ 1\" is one bad cell, not +1\n",
+        "",
+        "tests/test_datafile.py",
+    ),
+    Mutant(
+        "MINUS << 8 as << 0",
+        DATAFILE,
+        "((c >> 6 & lsb) << 8)",
+        "((c >> 6 & lsb) << 0)",
+        "tests/test_datafile.py",
+    ),
+    Mutant(
+        "canonical chunk[1::3] check dropped",
+        DATAFILE,
+        "        and chunk[1::3] == b\"1\" * (rows * width)\n",
+        "",
+        "tests/test_datafile.py",
     ),
 )
 

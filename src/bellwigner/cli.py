@@ -11,6 +11,7 @@ import argparse
 import csv
 import json
 import math
+import os
 import sys
 from typing import Sequence
 
@@ -156,7 +157,14 @@ def cmd_sweep(args) -> int:
     result = grid_sweep(args.resolution, convention, kind, mode)
     rows_written = None
     if args.out == "-":
-        rows_written = write_records_csv(sys.stdout, args.resolution, convention, kind, mode)
+        try:
+            rows_written = write_records_csv(sys.stdout, args.resolution, convention, kind, mode)
+        except BrokenPipeError:
+            # the reader is gone: point stdout at the null device, so that its
+            # flush at exit cannot fail again and print "Exception ignored"
+            with open(os.devnull, "wb") as null:
+                os.dup2(null.fileno(), sys.stdout.fileno())
+            raise
     elif args.out is not None:
         with open(args.out, "w", newline="") as fh:
             rows_written = write_records_csv(fh, args.resolution, convention, kind, mode)

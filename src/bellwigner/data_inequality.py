@@ -17,16 +17,16 @@ sum is a dot product of the counts with a fixed coefficient vector. Both
 linear halves of the three-set margin, (N - sum bb') -+ (sum ab - sum ab'),
 have coefficient 1 - bb' -+ a(b - b') in {0, 4} on every pattern, and the
 four-set halves 2 -+ bracket do too; so with counts >= 0 the margin is
->= 0 at every N. Counts are int64: nothing overflows below 2**62 trials.
+>= 0 at every N. Counts are Python ints, so no sum overflows. numpy is
+imported only by the functions that take arrays of outcomes.
 """
 
 from __future__ import annotations
 
 import itertools
+import operator
 from dataclasses import dataclass, fields
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .core import (
     DataSetQuad,
@@ -38,6 +38,9 @@ from .core import (
     Mode,
     outcome_array,
 )
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 def _exact_report(
@@ -64,6 +67,8 @@ _COUNT_ROWS = 1 << 16
 
 def _pattern_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
     """Each trial's sign pattern: one bit per +-1 column, OR-ed in header order."""
+    import numpy as np
+
     code = (columns[0] > 0).view(np.uint8)
     for column in columns[1:]:
         code <<= 1
@@ -71,25 +76,25 @@ def _pattern_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
     return code
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True)
 class PatternCounts:
     """How many trials show each sign pattern: the exact statistic of a data set.
 
     ``counts[p]`` is the number of trials whose outcomes, in header order,
     are +1 exactly at the set bits of p, the first column being the highest
     bit: 8 patterns for a triple (a, b, b'), 16 for a quad (a, a', b, b').
-    The counts of two data sets of the same width add up to those of both.
+    The counts are a tuple of Python ints. The counts of two data sets of
+    the same width add up to those of both.
     """
 
-    counts: np.ndarray
+    counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = np.array(self.counts, dtype=np.int64)
-        if counts.shape not in ((8,), (16,)):
-            raise ValueError(f"expected 8 or 16 pattern counts, got shape {counts.shape}")
-        if (counts < 0).any():
+        counts = tuple(map(int, self.counts))
+        if len(counts) not in (8, 16):
+            raise ValueError(f"expected 8 or 16 pattern counts, got {len(counts)}")
+        if min(counts) < 0:
             raise ValueError("pattern counts must be >= 0")
-        counts.setflags(write=False)
         object.__setattr__(self, "counts", counts)
 
     @classmethod
@@ -112,6 +117,8 @@ class PatternCounts:
     @classmethod
     def _fold(cls, columns: Sequence, as_outcomes) -> PatternCounts:
         # as_outcomes turns each slice of an equal-length column into int8 +-1
+        import numpy as np
+
         counts = np.zeros(1 << len(columns), dtype=np.int64)
         for lo in range(0, len(columns[0]), _COUNT_ROWS):
             s = slice(lo, lo + _COUNT_ROWS)
@@ -121,23 +128,18 @@ class PatternCounts:
 
     @property
     def width(self) -> int:
-        return self.counts.size.bit_length() - 1
+        return len(self.counts).bit_length() - 1
 
     @property
     def n(self) -> int:
-        return int(self.counts.sum())
+        return sum(self.counts)
 
     def __add__(self, other: PatternCounts) -> PatternCounts:
         if not isinstance(other, PatternCounts):
             return NotImplemented
         if other.width != self.width:
             raise ValueError(f"cannot add counts of widths {self.width} and {other.width}")
-        return PatternCounts(self.counts + other.counts)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, PatternCounts):
-            return NotImplemented
-        return np.array_equal(self.counts, other.counts)
+        return PatternCounts(map(sum, zip(self.counts, other.counts)))
 
 
 def sign_patterns(width: int) -> list[tuple[int, ...]]:
@@ -146,17 +148,17 @@ def sign_patterns(width: int) -> list[tuple[int, ...]]:
 
 
 # Rows: each triple pattern's term in sum(ab), sum(ab') and sum(bb').
-_TRIPLE_PRODUCTS = np.array(
-    [[a * b, a * bp, b * bp] for a, b, bp in sign_patterns(3)], dtype=np.int64
-).T
+_TRIPLE_PRODUCTS = tuple(zip(*((a * b, a * bp, b * bp) for a, b, bp in sign_patterns(3))))
 # Each quad pattern's four-set bracket a(b + b') + a'(b - b').
-_QUAD_BRACKETS = np.array(
-    [a * (b + bp) + ap * (b - bp) for a, ap, b, bp in sign_patterns(4)], dtype=np.int64
-)
+_QUAD_BRACKETS = tuple(a * (b + bp) + ap * (b - bp) for a, ap, b, bp in sign_patterns(4))
+
+
+def _dot(coefficients: Sequence[int], c: PatternCounts) -> int:
+    return sum(map(operator.mul, coefficients, c.counts))
 
 
 def _triple_sums(c: PatternCounts) -> tuple[int, int, int]:
-    sab, sabp, sbbp = (int(s) for s in _TRIPLE_PRODUCTS @ c.counts)
+    sab, sabp, sbbp = (_dot(row, c) for row in _TRIPLE_PRODUCTS)
     return sab, sabp, sbbp
 
 
@@ -189,5 +191,5 @@ def data_bell_margin_4(d: DataSetQuad | PatternCounts) -> InequalityReport:
     Takes a data set or its pattern counts.
     """
     c = _counts(d, 4)
-    total = int(_QUAD_BRACKETS @ c.counts)
+    total = _dot(_QUAD_BRACKETS, c)
     return _exact_report(InequalityKind.DATA_BELL_4, abs(total), 2 * c.n, c.n)

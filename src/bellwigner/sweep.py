@@ -303,24 +303,31 @@ def write_records_csv(
     full (`_float_text`); the bytes are those of one repr per cell. Zeros
     are never cached, since 0.0 == -0.0 would give -0.0 the text of 0.0.
     The arguments are checked, and the angle table allocated, before
-    anything is written.
+    anything is written. `out` is flushed at the end; if its reader closes
+    it first, the BrokenPipeError says how many records were written.
     """
     # each call raises on a bad argument, before the header is written
     angles = [repr(x) for x in _grid_floats(resolution)]
     half_angle_factor(convention)
     _margin_steps(kind)
     _check_margin_mode(mode)
-    out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
     tails = [f"{bp},{kind.name},{mode.name}," for bp in angles]
     get, miss = _float_text()
-    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
-        pre = f"{angles[ia]},{angles[ib]},"
-        out.write("".join([
-            f"{pre}{tail}{get(left) or miss(left)},{get(right) or miss(right)},"
-            f"{get(gap) or miss(gap)}\n"
-            for tail, (left, right) in zip(tails, row)
-            for gap in (right - left,)
-        ]))
+    written = 0
+    try:
+        out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
+        for ia, ib, row in _record_rows(resolution, convention, kind, mode):
+            pre = f"{angles[ia]},{angles[ib]},"
+            out.write("".join([
+                f"{pre}{tail}{get(left) or miss(left)},{get(right) or miss(right)},"
+                f"{get(gap) or miss(gap)}\n"
+                for tail, (left, right) in zip(tails, row)
+                for gap in (right - left,)
+            ]))
+            written += resolution
+        out.flush()
+    except BrokenPipeError:
+        raise BrokenPipeError(f"output closed after {written} records") from None
     return resolution**3
 
 

@@ -252,7 +252,7 @@ def test_paper_margins_are_the_data_identity_applied_to_the_model(convention):
     lhs, rhs = bell_margin_parts(a, b, bp, k, Mode.PAPER)
     assert np.abs(np.abs(sab - sabp) - lhs).max() <= 1e-15
     assert np.abs((1 - sbbp) - rhs).max() <= 1e-15
-    ab, abp, bbp = _TRIPLE_PRODUCTS
+    ab, abp, bbp = np.array(_TRIPLE_PRODUCTS)
     for sign in (1, -1):
         assert np.tensordot((1 - bbp) - sign * (ab - abp), q, axes=1).min() >= 0.0
     # the Wigner margin is q(a+, b-, b'+) + q(a-, b+, b'-)

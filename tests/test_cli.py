@@ -2,6 +2,8 @@ import csv
 import json
 import math
 import os
+import subprocess
+import sys
 import tracemalloc
 from unittest import mock
 
@@ -11,6 +13,7 @@ from bellwigner import AngleConfig, data_bell_margin_3, make_rng, sample_dataset
 from bellwigner import EmptyDataError, LengthMismatchError, datafile, sampler
 from bellwigner.cli import main
 from bellwigner.datafile import DataParseError, read_outcome_csv, write_triples_csv
+from conftest import SRC
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
 
@@ -300,6 +303,24 @@ def test_sweep_records_to_stdout_keeps_summary_on_stderr(capsys):
     assert json.loads(err)["violations"] == 0
 
 
+def test_sweep_records_to_a_closed_pipe_exit_two(tmp_path):
+    # like `sweep --out - | head -2`: the reader takes two lines and closes
+    # the pipe long before the 27,000 records are written
+    env = dict(os.environ, PYTHONPATH=SRC)
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "bellwigner", "sweep", "--resolution", "30", "--out", "-"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env, cwd=tmp_path,
+    )
+    lines = [proc.stdout.readline() for _ in range(2)]
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    proc.stderr.close()
+    assert proc.wait(timeout=60) == 2
+    assert lines[0].startswith(b"a,b,bp,kind,mode")
+    records = int(err.removeprefix("error: output closed after ").removesuffix(" records\n"))
+    assert 0 < records < 27_000
+
+
 def test_convergence_csv_output(capsys):
     rc, out, _ = run(
         capsys, "convergence", "--n-list", "50,200", "--seed", "7"
@@ -436,13 +457,22 @@ def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, c
             ["sweep", "--resolution", "12", "--out", "-"],
             {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
         ),
-        (["check-data", "d.csv"], {"bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"}),
+        # the reader counts sign patterns from the file's bytes, the csv fallback included
+        *(
+            (["check-data", *args], {"numpy", "bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"})
+            for args in (["d.csv"], ["q.csv"], ["d.csv", "--format", "csv"], ["quoted.csv"])
+        ),
         (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
     ],
-    ids=["sweep", "sweep-out", "sweep-out-stdout", "check-data", "convergence"],
+    ids=[
+        "sweep", "sweep-out", "sweep-out-stdout", "check-data", "check-data-quads",
+        "check-data-csv", "check-data-csv-fallback", "convergence",
+    ],
 )
 def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):
     (tmp_path / "d.csv").write_text("a,b,bp\n+1,-1,+1\n")
+    (tmp_path / "q.csv").write_text("a,ap,b,bp\n+1,-1,+1,1\n")
+    (tmp_path / "quoted.csv").write_text('a,b,bp\n"+1",-1,+1\n')
     rc, modules = modules_after_main(python, *argv, cwd=tmp_path)
     assert rc in (0, 1)
     assert ("numpy" in modules) is ("numpy" not in absent)

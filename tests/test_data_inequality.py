@@ -76,7 +76,7 @@ def test_side_flip_negates_the_bb_sum(d):
     # 1 + C(b, a') is the rhs 1 - C(b, b')
     counts = PatternCounts.of(d)
     flipped = PatternCounts.of(DataSetTriple(d.a, d.b, -d.bp))
-    assert flipped.counts.tolist() == counts.counts[np.arange(8) ^ 1].tolist()
+    assert list(flipped.counts) == [counts.counts[p ^ 1] for p in range(8)]
     assert _triple_sums(flipped)[2] == -_triple_sums(counts)[2]
 
 
@@ -209,8 +209,8 @@ def test_pattern_counts_reject_bad_values():
 
 
 def test_quad_brackets_are_plus_minus_two_for_all_sixteen():
-    assert _QUAD_BRACKETS.shape == (16,)
-    assert set(_QUAD_BRACKETS.tolist()) == {-2, 2}
+    assert len(_QUAD_BRACKETS) == 16
+    assert set(_QUAD_BRACKETS) == {-2, 2}
 
 
 def test_counts_from_columns_reject_unequal_lengths_and_non_outcomes():
@@ -221,7 +221,7 @@ def test_counts_from_columns_reject_unequal_lengths_and_non_outcomes():
     for bad in (0, 2):
         with pytest.raises(ValueError, match="only \\+1/-1 allowed"):
             PatternCounts.from_columns([a, np.array([1, 1, bad, 1]), bp])
-    assert PatternCounts.from_columns([a, b, bp]).counts.tolist() == [0, 0, 1, 0, 0, 1, 1, 1]
+    assert list(PatternCounts.from_columns([a, b, bp]).counts) == [0, 0, 1, 0, 0, 1, 1, 1]
     assert PatternCounts.from_columns([a.tolist(), b.tolist(), bp.tolist()]).n == 4
 
 

@@ -274,21 +274,33 @@ def reference_cells(chunk, width):
 
 
 FAST_ODD = ("", " ", "\t", "+", "-", "11", "1 1", "+ 1", "-\t1", "+-1", "1+", "1\r", "\r\n", ",")
+# rows as `simulate` writes them, and one-cell changes that keep or nearly keep their 3-byte cells
+CANONICAL = ("+1", "-1")
+CANONICAL_MISSES = ("1", " 1", "+ 1", "--1", "+-", "-+", "11", "1+", "+1 ")
 
 
 @st.composite
 def fast_alphabet_chunks(draw, width):
-    """Whole lines over the bytes `+-1, \\t\\r\\n`: mostly `width` well-formed cells."""
+    """Whole lines over the bytes `+-1, \\t\\r\\n`: mostly `width` well-formed cells.
+
+    Half of the chunks are canonical rows, `+1,-1,+1\\n`, with now and then
+    a near miss: a CRLF, a blank line, a short or long row, or one cell
+    spelled otherwise.
+    """
     if draw(st.integers(0, 7)) == 0:
         return draw(st.text("+-1, \t\r\n", max_size=30)).encode() + b"\n"
+    canonical = draw(st.booleans())
+    spellings, odd = (CANONICAL, CANONICAL_MISSES) if canonical else (VALID, FAST_ODD)
+    sizes = (width,) * (9 if canonical else 3) + (0, width - 1, width + 1)
+    line_ends = ("\n",) * (9 if canonical else 2) + ("\r\n",)
     text = ""
-    for _ in range(draw(st.integers(1, 4))):
-        n = draw(st.sampled_from((width, width, width, 0, width - 1, width + 1)))
-        cells = draw(st.lists(st.sampled_from(VALID), min_size=n, max_size=n))
-        if n and draw(st.booleans()):
-            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(FAST_ODD))
+    for _ in range(draw(st.integers(1, 6))):
+        n = draw(st.sampled_from(sizes))
+        cells = draw(st.lists(st.sampled_from(spellings), min_size=n, max_size=n))
+        if n and draw(st.integers(0, 4 if canonical else 1)) == 0:
+            cells[draw(st.integers(0, n - 1))] = draw(st.sampled_from(odd))
         text += ",".join(cells) if n else draw(st.sampled_from(("", " ", "\t")))
-        text += draw(st.sampled_from(("\n", "\n", "\r\n")))
+        text += draw(st.sampled_from(line_ends))
     return text.encode()
 
 
@@ -298,8 +310,8 @@ def test_fast_cells_only_accepts_what_csv_reads_the_same(data, width):
     chunk = data.draw(fast_alphabet_chunks(width))
     cells = datafile._fast_cells(chunk, width)
     if cells is not None:
-        assert cells.dtype == np.int8
-        assert cells.tolist() == reference_cells(chunk, width)
+        assert isinstance(cells, bytes)
+        assert array("b", cells).tolist() == reference_cells(chunk, width)
 
 
 @pytest.mark.parametrize(
@@ -354,6 +366,44 @@ def test_near_miss_rows_match_reference(tmp_path, lines):
     path.write_text("a,b,bp\n" + "1,1,1\n" * 3 + lines + "1,1,1\n", newline="")
     for chunk_bytes in (None, 6, 7):
         assert_same_outcome(path, chunk_bytes)
+
+
+def canonical_rows(width):
+    """Every sign pattern once, as `simulate` spells rows."""
+    return "".join(",".join(row) + "\n" for row in itertools.product(CANONICAL, repeat=width))
+
+
+def near_miss(width, spelling):
+    """One row of canonical cells whose second cell is spelled `spelling`."""
+    return ",".join(["+1", spelling] + ["-1"] * (width - 2)) + "\n"
+
+
+@pytest.mark.parametrize("width", (3, 4))
+@pytest.mark.parametrize(
+    "miss",
+    [
+        lambda w: near_miss(w, "-1")[:-1] + "\r\n",
+        *(lambda w, c=c: near_miss(w, c) for c in CANONICAL_MISSES),
+        lambda w: "\n",
+        lambda w: near_miss(w, "-1").rpartition(",")[0] + "\n",
+        lambda w: " ".join(near_miss(w, "-1")),
+    ],
+    ids=["crlf", *CANONICAL_MISSES, "blank-line", "short-row", "spaced-row"],
+)
+def test_canonical_chunks_and_near_misses_match_reference(tmp_path, width, miss):
+    # canonical chunks, then a chunk with one near miss, then canonical ones:
+    # the fast path switches between its two checks at the chunk bounds, and
+    # a miss as the last line ends the file
+    path = tmp_path / "d.csv"
+    header = "a,b,bp" if width == 3 else "a,ap,b,bp"
+    rows = canonical_rows(width)
+    for body in (rows + miss(width) + rows, rows + miss(width)):
+        path.write_text(header + "\n" + body, newline="")
+        expected = counts_outcome(lambda p: PatternCounts.of(read_outcome_csv(p)), path)
+        for chunk_bytes in (4, 9, 1 << 15):
+            assert_same_outcome(path, chunk_bytes)
+            with mock.patch.object(datafile, "_CHUNK_BYTES", chunk_bytes):
+                assert counts_outcome(read_pattern_counts, path) == expected
 
 
 def reference_write(path, data):

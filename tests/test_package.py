@@ -83,8 +83,8 @@ def test_import_loads_no_numpy_until_a_name_is_used(python):
         "bellwigner.PatternCounts\n"
         "print('numpy' in sys.modules)\n"
     )
-    # core imports numpy only inside the functions that build arrays
-    assert python(code).split() == ["False", "False", "False", "True", "True"]
+    # core and data_inequality import numpy only inside the functions that take or build arrays
+    assert python(code).split() == ["False", "False", "False", "True", "False"]
 
 
 def test_submodules_import_through_the_package(python):
