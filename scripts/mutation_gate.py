@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP = "src/bellwigner/sweep.py"
 ANALYTIC = "src/bellwigner/analytic.py"
 DATAFILE = "src/bellwigner/datafile.py"
+CORE = "src/bellwigner/core.py"
 
 
 class Mutant(NamedTuple):
@@ -113,6 +114,29 @@ MUTANTS = (
         "        and chunk[1::3] == b\"1\" * (rows * width)\n",
         "",
         "tests/test_datafile.py",
+    ),
+    # the value types: equality within one class, no assignment
+    Mutant(
+        "value __eq__ without the same-class check",
+        CORE,
+        "    if other.__class__ is not self.__class__:\n        return NotImplemented\n",
+        "",
+        "tests/test_core.py",
+    ),
+    Mutant(
+        "value __setattr__ not overridden",
+        CORE,
+        "    cls.__setattr__ = _frozen_setattr\n",
+        "",
+        "tests/test_core.py",
+    ),
+    # analytic's plain-float model: its own list of the 8 sign patterns
+    Mutant(
+        "pattern_probabilities patterns in another order",
+        ANALYTIC,
+        "(-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),",
+        "(-1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, 1, 1),",
+        "tests/test_analytic.py",
     ),
 )
 

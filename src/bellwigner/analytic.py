@@ -107,23 +107,30 @@ class ThirdPairProbabilities(NamedTuple):
     ppm: float
 
 
+# The +-1 outcomes of (a, b, b') in PatternCounts order, as
+# data_inequality.sign_patterns(3) lists them.
+_TRIPLE_PATTERNS = (
+    (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
+    (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1),
+)
+
+
 def pattern_probabilities(a, b, bp, k: float):
     """The model's probability q of each sign pattern of (a, b, b'); broadcasts over arrays.
 
-    The pattern axis comes first, in PatternCounts order: a is a fair +-1,
-    then b and b' are drawn independently given it, each equal to a with
-    probability sin^2(k d), d being its setting minus a.
+    The patterns are in PatternCounts order: a is a fair +-1, then b and b'
+    are drawn independently given it, each equal to a with probability
+    sin^2(k d), d being its setting minus a. For plain Python numbers q is
+    a list of 8 floats; otherwise a numpy array with the pattern axis first.
     """
-    import numpy as np
-
-    from .data_inequality import sign_patterns
-
-    s2b, c2b = sin2_cos2(k, b - a)
-    s2bp, c2bp = sin2_cos2(k, bp - a)
-    return np.array([
+    trig = _trig(a, b, bp, k)
+    s2b, c2b = _sin2_cos2(trig, k, b - a)
+    s2bp, c2bp = _sin2_cos2(trig, k, bp - a)
+    q = [
         0.5 * (s2b if sb == sa else c2b) * (s2bp if sbp == sa else c2bp)
-        for sa, sb, sbp in sign_patterns(3)
-    ])
+        for sa, sb, sbp in _TRIPLE_PATTERNS
+    ]
+    return q if trig is math else trig.array(q)
 
 
 def third_pair_probabilities(cfg: AngleConfig) -> ThirdPairProbabilities:

@@ -4,12 +4,21 @@ Everything here is an immutable value type with validating construction.
 Outcomes are signed integers (+1/-1), never booleans, so products like
 ``d.a * d.b`` are literal integer multiplications and data-level sums stay
 exact.
+
+The value types are plain classes that `_value_type` gives the methods a
+frozen dataclass would have: ``__init__`` from the annotated fields, then
+``__post_init__``; ``__eq__``, ``__hash__`` and ``__repr__`` over the field
+values; ``__match_args__``; and no assignment or deletion of attributes.
+Their field names are the class's ``_fields`` tuple. They are not
+dataclasses, so ``dataclasses.fields`` and ``replace`` do not apply.
+Importing `dataclasses` (which loads `inspect`, `ast` and `tokenize`) and
+generating each class's methods with ``exec`` took about 10 ms of every
+launch of the commands that load no numpy.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
 
@@ -29,6 +38,83 @@ class LengthMismatchError(ValueError):
     """Two aligned outcome sequences have different lengths."""
 
 
+class FrozenInstanceError(AttributeError):
+    """An attribute of an immutable value was assigned or deleted."""
+
+
+def _frozen_setattr(self, name, value):
+    raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+
+def _frozen_delattr(self, name):
+    raise FrozenInstanceError(f"cannot delete field {name!r}")
+
+
+def _values(self) -> tuple:
+    return tuple([getattr(self, name) for name in self._fields])
+
+
+def _eq(self, other):
+    if other.__class__ is not self.__class__:
+        return NotImplemented
+    return _values(self) == _values(other)
+
+
+def _hash(self) -> int:
+    return hash(_values(self))
+
+
+def _repr(self) -> str:
+    args = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._fields])
+    return f"{self.__class__.__qualname__}({args})"
+
+
+def _value_type(cls):
+    """Make `cls` an immutable value type over its annotated fields.
+
+    The fields are the names annotated in `cls` and its bases, base classes
+    first, each in the order written; a field's default is the class
+    attribute of its name. The constructor takes them by position or
+    keyword, as ``@dataclass(frozen=True)`` would, and then calls
+    ``__post_init__`` if the class has one, which may set a field only
+    through ``object.__setattr__``.
+    """
+    names = tuple(dict.fromkeys(
+        name for klass in reversed(cls.__mro__) for name in vars(klass).get("__annotations__", ())
+    ))
+    defaults = {name: getattr(cls, name) for name in names if hasattr(cls, name)}
+    post_init = getattr(cls, "__post_init__", None)
+
+    def __init__(self, *args, **kwargs):
+        if len(args) > len(names):
+            raise TypeError(
+                f"{cls.__name__}() takes {len(names)} arguments but {len(args)} were given"
+            )
+        state = dict(zip(names, args))
+        for name in names[len(args):]:
+            if name in kwargs:
+                state[name] = kwargs.pop(name)
+            elif name in defaults:
+                state[name] = defaults[name]
+            else:
+                raise TypeError(f"{cls.__name__}() missing argument {name!r}")
+        for name in kwargs:
+            problem = "multiple values for" if name in names else "an unexpected keyword"
+            raise TypeError(f"{cls.__name__}() got {problem} argument {name!r}")
+        self.__dict__.update(state)
+        if post_init is not None:
+            post_init(self)
+
+    cls._fields = cls.__match_args__ = names
+    cls.__init__ = __init__
+    cls.__eq__ = _eq
+    cls.__hash__ = _hash
+    cls.__repr__ = _repr
+    cls.__setattr__ = _frozen_setattr
+    cls.__delattr__ = _frozen_delattr
+    return cls
+
+
 def outcome_array(values) -> np.ndarray:
     """Validate a sequence of outcomes and return it as a 1-D int8 array.
 
@@ -46,7 +132,7 @@ def outcome_array(values) -> np.ndarray:
     return arr.astype(np.int8, copy=False)
 
 
-@dataclass(frozen=True)
+@_value_type
 class _OutcomeColumns:
     """N >= 1 trials stored as aligned, read-only int8 columns, one per field.
 
@@ -55,9 +141,8 @@ class _OutcomeColumns:
     """
 
     def __post_init__(self) -> None:
-        names = [f.name for f in fields(self)]
         cols = []
-        for name in names:
+        for name in self._fields:
             value = getattr(self, name)
             arr = outcome_array(value)
             # a column the caller could still write to is copied, so freezing
@@ -70,7 +155,7 @@ class _OutcomeColumns:
         lengths = tuple(c.shape[0] for c in cols)
         if len(set(lengths)) != 1:
             raise LengthMismatchError(
-                f"columns {', '.join(names)} must have equal length, got {lengths}"
+                f"columns {', '.join(self._fields)} must have equal length, got {lengths}"
             )
         if lengths[0] == 0:
             raise EmptyDataError("a data set needs at least one trial")
@@ -83,20 +168,20 @@ class _OutcomeColumns:
         import numpy as np
 
         arr = np.asarray(rows)
-        width = len(fields(cls))
+        width = len(cls._fields)
         if arr.ndim != 2 or arr.shape[1] != width:
             raise ValueError(f"expected rows of {width} outcomes, got shape {arr.shape}")
         return cls(*arr.T)
 
     @property
     def n(self) -> int:
-        return int(getattr(self, fields(self)[0].name).shape[0])
+        return int(getattr(self, self._fields[0]).shape[0])
 
     def __len__(self) -> int:
         return self.n
 
 
-@dataclass(frozen=True)
+@_value_type
 class DataSetTriple(_OutcomeColumns):
     """An ordered set of N >= 1 trials at settings (a, b, b')."""
 
@@ -105,7 +190,7 @@ class DataSetTriple(_OutcomeColumns):
     bp: np.ndarray
 
 
-@dataclass(frozen=True)
+@_value_type
 class DataSetQuad(_OutcomeColumns):
     """An ordered set of N >= 1 trials at settings (a, a', b, b')."""
 
@@ -148,7 +233,7 @@ class InequalityKind(Enum):
     WIGNER = "wigner"
 
 
-@dataclass(frozen=True)
+@_value_type
 class AngleConfig:
     """Three detector settings in radians plus the angle convention."""
 
@@ -167,7 +252,7 @@ class AngleConfig:
             raise ValueError(f"not an AngleConvention: {self.convention!r}")
 
 
-@dataclass(frozen=True)
+@_value_type
 class JointProbabilities:
     """The four outcome probabilities P++, P+-, P-+, P-- of a setting pair."""
 
@@ -194,7 +279,7 @@ class JointProbabilities:
         return {"pp": self.pp, "pm": self.pm, "mp": self.mp, "mm": self.mm}
 
 
-@dataclass(frozen=True)
+@_value_type
 class InequalityReport:
     """One inequality evaluation: lhs <= rhs up to tolerance."""
 
@@ -241,7 +326,7 @@ class InequalityReport:
         }
 
 
-@dataclass(frozen=True)
+@_value_type
 class ConvergenceRecord:
     """One Monte Carlo estimate against its closed-form target."""
 

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import itertools
 import operator
-from dataclasses import dataclass, fields
 from typing import TYPE_CHECKING, Sequence
 
 from .core import (
@@ -36,6 +35,7 @@ from .core import (
     InequalityReport,
     LengthMismatchError,
     Mode,
+    _value_type,
     outcome_array,
 )
 
@@ -76,7 +76,7 @@ def _pattern_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
     return code
 
 
-@dataclass(frozen=True)
+@_value_type
 class PatternCounts:
     """How many trials show each sign pattern: the exact statistic of a data set.
 
@@ -90,7 +90,7 @@ class PatternCounts:
     counts: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        counts = tuple(map(int, self.counts))
+        counts = tuple(map(operator.index, self.counts))
         if len(counts) not in (8, 16):
             raise ValueError(f"expected 8 or 16 pattern counts, got {len(counts)}")
         if min(counts) < 0:
@@ -112,7 +112,7 @@ class PatternCounts:
     @classmethod
     def of(cls, data: DataSetTriple | DataSetQuad) -> PatternCounts:
         """Counts of a data set's trials, whose columns were checked when it was built."""
-        return cls._fold([getattr(data, f.name) for f in fields(data)], lambda column: column)
+        return cls._fold([getattr(data, name) for name in data._fields], lambda column: column)
 
     @classmethod
     def _fold(cls, columns: Sequence, as_outcomes) -> PatternCounts:

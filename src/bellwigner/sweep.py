@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import math
 from array import array
-from dataclasses import dataclass
 from itertools import repeat, takewhile
 from typing import IO, TYPE_CHECKING, Iterator
 
@@ -39,7 +38,7 @@ from .analytic import (
     sin2_cos2,
     wigner_margin_parts,
 )
-from .core import AngleConfig, AngleConvention, InequalityKind, Mode
+from .core import AngleConfig, AngleConvention, InequalityKind, Mode, _value_type
 
 if TYPE_CHECKING:
     import numpy as np
@@ -60,8 +59,10 @@ _TEXT_CACHE_LIMIT = 1 << 13
 _ALLOWANCE = 1e-13
 
 
-@dataclass(frozen=True)
+@_value_type
 class SweepResult:
+    """One grid sweep: its size, the minimum margin and where it lies, and the violation count."""
+
     kind: InequalityKind
     mode: Mode
     convention: AngleConvention

@@ -21,7 +21,7 @@ from bellwigner import (
     wigner_slack,
 )
 from bellwigner.analytic import bell_margin_parts, pattern_probabilities, wigner_margin_parts
-from bellwigner.data_inequality import _TRIPLE_PRODUCTS
+from bellwigner.data_inequality import _TRIPLE_PRODUCTS, sign_patterns
 from conftest import angles, configs, conventions
 
 SPIN = AngleConvention.SPIN
@@ -229,7 +229,7 @@ def test_wigner_slack_is_twice_the_paper_margin(cfg):
 @given(configs)
 def test_pattern_probabilities_reproduce_the_measured_pairs(cfg):
     k = half_angle_factor(cfg.convention)
-    q = pattern_probabilities(cfg.a, cfg.b, cfg.bp, k).reshape(2, 2, 2)  # [a][b][b'], -1 first
+    q = np.array(pattern_probabilities(cfg.a, cfg.b, cfg.bp, k)).reshape(2, 2, 2)  # [a][b][b'], -1 first
     assert q.min() >= 0.0
     assert q.sum() == pytest.approx(1.0, abs=TOLERANCE)
     for setting, other_axis in ((cfg.b, 2), (cfg.bp, 1)):
@@ -237,6 +237,26 @@ def test_pattern_probabilities_reproduce_the_measured_pairs(cfg):
         np.testing.assert_allclose(
             q.sum(axis=other_axis), [[jp.mm, jp.mp], [jp.pm, jp.pp]], rtol=0, atol=TOLERANCE
         )
+
+
+@given(configs)
+@example(WITNESS)
+def test_pattern_probabilities_of_floats_are_a_list_in_sign_pattern_order(cfg):
+    # plain floats give a list, computed without numpy, of the patterns of sign_patterns(3)
+    k = half_angle_factor(cfg.convention)
+    q = pattern_probabilities(cfg.a, cfg.b, cfg.bp, k)
+    assert type(q) is list and all(type(p) is float for p in q)
+
+    def squares(d):
+        s, c = math.sin(k * d), math.cos(k * d)
+        return s * s, c * c
+
+    s2b, c2b = squares(cfg.b - cfg.a)
+    s2bp, c2bp = squares(cfg.bp - cfg.a)
+    assert q == [
+        0.5 * (s2b if sb == sa else c2b) * (s2bp if sbp == sa else c2bp)
+        for sa, sb, sbp in sign_patterns(3)
+    ]
 
 
 @pytest.mark.parametrize("convention", [SPIN, OPTICAL], ids=["spin", "optical"])

@@ -444,29 +444,36 @@ def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, c
 @pytest.mark.parametrize(
     "argv, absent",
     [
-        # the census and the record streams evaluate the kernel in plain floats
-        (
-            ["sweep", "--resolution", "12"],
-            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
-        ),
-        (
-            ["sweep", "--resolution", "12", "--out", "r.csv"],
-            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
-        ),
-        (
-            ["sweep", "--resolution", "12", "--out", "-"],
-            {"numpy", "bellwigner.data_inequality", "bellwigner.sampler", "bellwigner.datafile"},
+        # the census and the record streams evaluate the kernel in plain floats;
+        # the value types are plain classes, so no command loads dataclasses
+        *(
+            (
+                ["sweep", "--resolution", "12", *args],
+                {
+                    "numpy", "dataclasses", "inspect", "bellwigner.data_inequality",
+                    "bellwigner.sampler", "bellwigner.datafile",
+                },
+            )
+            for args in ([], ["--out", "r.csv"], ["--out", "-"])
         ),
         # the reader counts sign patterns from the file's bytes, the csv fallback included
         *(
-            (["check-data", *args], {"numpy", "bellwigner.analytic", "bellwigner.sampler", "bellwigner.sweep"})
+            (
+                ["check-data", *args],
+                {
+                    "numpy", "dataclasses", "inspect", "bellwigner.analytic",
+                    "bellwigner.sampler", "bellwigner.sweep",
+                },
+            )
             for args in (["d.csv"], ["q.csv"], ["d.csv", "--format", "csv"], ["quoted.csv"])
         ),
+        # the closed forms of one setting triple are plain floats
+        (["analytic"], {"numpy", "dataclasses", "bellwigner.data_inequality"}),
         (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
     ],
     ids=[
         "sweep", "sweep-out", "sweep-out-stdout", "check-data", "check-data-quads",
-        "check-data-csv", "check-data-csv-fallback", "convergence",
+        "check-data-csv", "check-data-csv-fallback", "analytic", "convergence",
     ],
 )
 def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):

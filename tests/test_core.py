@@ -1,5 +1,4 @@
 import math
-from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -17,14 +16,17 @@ from bellwigner import (
     JointProbabilities,
     LengthMismatchError,
     Mode,
+    PatternCounts,
+    SweepResult,
 )
+from bellwigner.core import FrozenInstanceError, _OutcomeColumns
 from conftest import datasets
 
 DATA_SETS = pytest.mark.parametrize("cls", [DataSetTriple, DataSetQuad])
 
 
 def width(cls):
-    return len(fields(cls))
+    return len(cls._fields)
 
 
 def test_dataset_from_columns():
@@ -39,7 +41,7 @@ def test_dataset_from_trials_round_trip(cls):
     rows = [(1, -1, 1, -1)[: width(cls)], (-1,) * width(cls)]
     d = cls.from_trials(rows)
     assert d.n == len(d) == 2
-    assert list(zip(*(getattr(d, f.name).tolist() for f in fields(cls)))) == rows
+    assert list(zip(*(getattr(d, name).tolist() for name in cls._fields))) == rows
 
 
 @DATA_SETS
@@ -68,16 +70,16 @@ def test_dataset_rejects_invalid_values(cls):
             cls(bad, *rest)
     # True and 1.0 are the outcome +1, as they always were
     d = cls([True, True], [1.0, -1.0], *rest[1:])
-    assert getattr(d, fields(cls)[0].name).tolist() == [1, 1]
-    assert getattr(d, fields(cls)[1].name).tolist() == [1, -1]
+    assert getattr(d, cls._fields[0]).tolist() == [1, 1]
+    assert getattr(d, cls._fields[1]).tolist() == [1, -1]
 
 
 @DATA_SETS
 def test_dataset_columns_are_read_only(cls):
     d = cls(*[[1]] * width(cls))
-    for f in fields(cls):
+    for name in cls._fields:
         with pytest.raises(ValueError):
-            getattr(d, f.name)[0] = -1
+            getattr(d, name)[0] = -1
 
 
 def test_dataset_copies_a_writeable_int8_column():
@@ -194,3 +196,155 @@ def test_convergence_record_rejects_bad_n_or_seed():
         ConvergenceRecord(0, 0.0, 0.0, seed=1)
     with pytest.raises(ValueError, match="seed"):
         ConvergenceRecord(1, 0.0, 0.0, seed=-1)
+
+
+# One value of each value type, built positionally, and its repr: the text
+# @dataclass gave these types, pinned so that logs and doctests keep it.
+SPIN_CONFIG = AngleConfig(0.0, 1.0, 2.0)
+VALUES = [
+    (
+        AngleConfig, (0.0, 1.0, 2.0, AngleConvention.SPIN),
+        "AngleConfig(a=0.0, b=1.0, bp=2.0, convention=<AngleConvention.SPIN: 'spin'>)",
+    ),
+    (
+        JointProbabilities, (0.25, 0.25, 0.125, 0.375),
+        "JointProbabilities(pp=0.25, pm=0.25, mp=0.125, mm=0.375)",
+    ),
+    (
+        InequalityReport, (InequalityKind.WIGNER, Mode.PAPER, 0.25, 0.3125, 0.0625, True, 1e-12),
+        "InequalityReport(kind=<InequalityKind.WIGNER: 'wigner'>, mode=<Mode.PAPER: 'paper'>, "
+        "lhs=0.25, rhs=0.3125, margin=0.0625, satisfied=True, tolerance=1e-12)",
+    ),
+    (
+        ConvergenceRecord, (400, -0.3, -0.25, 7),
+        "ConvergenceRecord(n_samples=400, estimate=-0.3, analytic=-0.25, seed=7)",
+    ),
+    (PatternCounts, ((0, 1, 2, 3, 4, 5, 6, 7),), "PatternCounts(counts=(0, 1, 2, 3, 4, 5, 6, 7))"),
+    (
+        SweepResult,
+        (InequalityKind.CORR_BELL, Mode.NAIVE, AngleConvention.OPTICAL, 12, 1728, -0.5, SPIN_CONFIG, 60),
+        "SweepResult(kind=<InequalityKind.CORR_BELL: 'corr_bell'>, mode=<Mode.NAIVE: 'naive'>, "
+        "convention=<AngleConvention.OPTICAL: 'optical'>, resolution=12, n_points=1728, "
+        "min_margin=-0.5, argmin=AngleConfig(a=0.0, b=1.0, bp=2.0, "
+        "convention=<AngleConvention.SPIN: 'spin'>), violations=60)",
+    ),
+    (
+        DataSetTriple, ([1, -1], [1, 1], [-1, -1]),
+        "DataSetTriple(a=array([ 1, -1], dtype=int8), b=array([1, 1], dtype=int8), "
+        "bp=array([-1, -1], dtype=int8))",
+    ),
+    (
+        DataSetQuad, ([1], [1], [-1], [-1]),
+        "DataSetQuad(a=array([1], dtype=int8), ap=array([1], dtype=int8), "
+        "b=array([-1], dtype=int8), bp=array([-1], dtype=int8))",
+    ),
+]
+ALL_VALUES = pytest.mark.parametrize("cls, args, text", VALUES, ids=[v[0].__name__ for v in VALUES])
+# the data sets hold numpy columns, so == of two of them raises and they have no hash
+HASHABLE = pytest.mark.parametrize(
+    "cls, args, text", VALUES[:6], ids=[v[0].__name__ for v in VALUES[:6]]
+)
+
+
+@ALL_VALUES
+def test_value_repr_names_every_field_in_order(cls, args, text):
+    value = cls(*args)
+    assert repr(value) == text
+    assert cls.__match_args__ == cls._fields
+    assert tuple(vars(value)) == cls._fields
+
+
+def test_outcome_columns_base_declares_no_fields():
+    assert _OutcomeColumns._fields == ()
+    assert DataSetTriple._fields == ("a", "b", "bp")
+    assert DataSetQuad._fields == ("a", "ap", "b", "bp")
+
+
+@ALL_VALUES
+def test_value_takes_its_fields_by_keyword(cls, args, text):
+    assert repr(cls(**dict(zip(cls._fields, args)))) == text
+    assert repr(cls(*args[:1], **dict(zip(cls._fields[1:], args[1:])))) == text
+
+
+def test_value_defaults_fill_missing_arguments():
+    assert AngleConfig(0.0, 1.0, 2.0).convention is AngleConvention.SPIN
+    assert AngleConfig(bp=2, b=1, a=0) == SPIN_CONFIG
+    optical = AngleConfig(0.0, 1.0, 2.0, convention=AngleConvention.OPTICAL)
+    assert optical.convention is AngleConvention.OPTICAL
+
+
+@ALL_VALUES
+def test_value_rejects_missing_extra_and_repeated_arguments(cls, args, text):
+    first = cls._fields[0]
+    for call in (
+        lambda: cls(),
+        lambda: cls(*args, args[-1]),
+        lambda: cls(*args, no_such_field=1),
+        lambda: cls(*args, **{first: args[0]}),
+        lambda: cls(**dict(zip(cls._fields[1:], args[1:]))),
+    ):
+        with pytest.raises(TypeError):
+            call()
+
+
+@HASHABLE
+def test_equal_values_are_equal_and_hash_alike(cls, args, text):
+    one, two = cls(*args), cls(**dict(zip(cls._fields, args)))
+    assert one is not two
+    assert one == two and not one != two
+    assert hash(one) == hash(two)
+    assert len({one, two}) == 1
+
+
+def test_values_of_different_fields_differ():
+    assert AngleConfig(0.0, 1.0, 2.0) != AngleConfig(0.0, 1.0, 2.5)
+    assert AngleConfig(0.0, 1.0, 2.0) != AngleConfig(0.0, 1.0, 2.0, AngleConvention.OPTICAL)
+    assert PatternCounts(range(8)) != PatternCounts(range(1, 9))
+    assert ConvergenceRecord(400, -0.3, -0.25, 7) != ConvergenceRecord(400, -0.3, -0.25, 8)
+
+
+def test_values_equal_nothing_of_another_class():
+    class Subclass(AngleConfig):
+        pass
+
+    cfg = AngleConfig(0.0, 1.0, 2.0)
+    twin = Subclass(0.0, 1.0, 2.0)
+    assert cfg != twin and twin != cfg
+    assert cfg != (0.0, 1.0, 2.0, AngleConvention.SPIN)
+    assert cfg != 1
+    assert JointProbabilities(0.25, 0.25, 0.25, 0.25) != (0.25, 0.25, 0.25, 0.25)
+    assert cfg.__eq__(twin) is NotImplemented
+
+
+@ALL_VALUES
+def test_value_fields_cannot_be_assigned_or_deleted(cls, args, text):
+    value = cls(*args)
+    for name in (*cls._fields, "no_such_field"):
+        with pytest.raises(FrozenInstanceError, match="cannot assign"):
+            setattr(value, name, 0)
+    with pytest.raises(FrozenInstanceError, match="cannot delete"):
+        delattr(value, cls._fields[0])
+    assert issubclass(FrozenInstanceError, AttributeError)
+    assert repr(value) == text
+
+
+def test_value_matches_positional_patterns():
+    match SweepResult(*VALUES[5][1]):
+        case SweepResult(kind, mode, convention, resolution, n, margin, AngleConfig(a, b, bp)):
+            assert (kind, mode, resolution, n, margin) == (
+                InequalityKind.CORR_BELL, Mode.NAIVE, 12, 1728, -0.5
+            )
+            assert convention is AngleConvention.OPTICAL and (a, b, bp) == (0.0, 1.0, 2.0)
+        case _:
+            pytest.fail("no match")
+
+
+def test_report_rejects_negative_tolerance():
+    with pytest.raises(ValueError, match="tolerance must be >= 0"):
+        InequalityReport(InequalityKind.WIGNER, Mode.PAPER, 0.0, 1.0, 1.0, True, -1e-12)
+
+
+def test_angle_config_stores_floats():
+    cfg = AngleConfig(0, 1, True)
+    assert (type(cfg.a), type(cfg.b), type(cfg.bp)) == (float, float, float)
+    assert repr(cfg) == "AngleConfig(a=0.0, b=1.0, bp=1.0, convention=<AngleConvention.SPIN: 'spin'>)"

@@ -197,15 +197,25 @@ def test_triple_sums_symmetry_and_extremes(xs, data):
 
 def test_pattern_counts_reject_bad_values():
     with pytest.raises(ValueError):
-        PatternCounts(np.zeros(5))
+        PatternCounts(np.zeros(5, dtype=np.int64))
     with pytest.raises(ValueError):
         PatternCounts(np.array([-1] + [0] * 7))
     with pytest.raises(ValueError):
-        PatternCounts(np.zeros(8)) + PatternCounts(np.zeros(16))
+        PatternCounts(np.zeros(8, dtype=np.int64)) + PatternCounts(np.zeros(16, dtype=np.int64))
     with pytest.raises(ValueError):
-        data_bell_margin_3(PatternCounts(np.ones(16)))
+        data_bell_margin_3(PatternCounts(np.ones(16, dtype=np.int64)))
     with pytest.raises(EmptyDataError):
-        data_bell_margin_4(PatternCounts(np.zeros(16)))
+        data_bell_margin_4(PatternCounts(np.zeros(16, dtype=np.int64)))
+    # a count is an integer: no float is truncated and no string parsed
+    for bad in ([0.5] * 8, ["3"] * 8, np.ones(8), [np.float64(1.0)] * 8):
+        with pytest.raises(TypeError):
+            PatternCounts(bad)
+
+
+def test_pattern_counts_keep_numpy_integer_counts_as_ints():
+    c = PatternCounts(np.arange(8, dtype=np.int64))
+    assert c.counts == tuple(range(8))
+    assert all(type(x) is int for x in c.counts)
 
 
 def test_quad_brackets_are_plus_minus_two_for_all_sixteen():

@@ -15,7 +15,6 @@ import itertools
 import json
 import tracemalloc
 from array import array
-from dataclasses import fields
 from unittest import mock
 
 import hypothesis.strategies as st
@@ -74,7 +73,7 @@ def outcome(read, path):
         data = read(str(path))
     except (ValueError, csv.Error) as exc:
         return type(exc), getattr(exc, "line", None)
-    return type(data), tuple(getattr(data, f.name).tolist() for f in fields(data))
+    return type(data), tuple(getattr(data, name).tolist() for name in data._fields)
 
 
 def assert_same_outcome(path, chunk_bytes=None):

@@ -78,13 +78,14 @@ def test_import_loads_no_numpy_until_a_name_is_used(python):
     code = (
         "import sys, bellwigner\n"
         "print('numpy' in sys.modules, 'bellwigner.core' in sys.modules)\n"
-        "bellwigner.AngleConfig\n"
+        "bellwigner.AngleConfig(0.0, 1.0, 2.0)\n"
         "print('numpy' in sys.modules, 'bellwigner.core' in sys.modules)\n"
-        "bellwigner.PatternCounts\n"
-        "print('numpy' in sys.modules)\n"
+        "bellwigner.PatternCounts(range(8))\n"
+        "print('numpy' in sys.modules, 'dataclasses' in sys.modules)\n"
     )
-    # core and data_inequality import numpy only inside the functions that take or build arrays
-    assert python(code).split() == ["False", "False", "False", "True", "False"]
+    # core and data_inequality import numpy only inside the functions that take
+    # or build arrays, and their value types are built without dataclasses
+    assert python(code).split() == ["False", "False", "False", "True", "False", "False"]
 
 
 def test_submodules_import_through_the_package(python):

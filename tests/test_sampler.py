@@ -116,7 +116,7 @@ def _chi2_against_model(cfg, seed):
     """Pearson chi^2 of 10^5 sampled pattern counts against n q, over patterns with q > 0."""
     n = 100_000
     counts = np.array(PatternCounts.of(sample_dataset(cfg, n, make_rng(seed))).counts)
-    expected = n * pattern_probabilities(cfg.a, cfg.b, cfg.bp, half_angle_factor(cfg.convention))
+    expected = n * np.array(pattern_probabilities(cfg.a, cfg.b, cfg.bp, half_angle_factor(cfg.convention)))
     possible = expected > 0
     assert not counts[~possible].any()
     return float(((counts - expected)[possible] ** 2 / expected[possible]).sum())
