@@ -31,6 +31,8 @@ SWEEP = "src/bellwigner/sweep.py"
 ANALYTIC = "src/bellwigner/analytic.py"
 DATAFILE = "src/bellwigner/datafile.py"
 CORE = "src/bellwigner/core.py"
+SAMPLER = "src/bellwigner/sampler.py"
+CLI = "src/bellwigner/cli.py"
 
 
 class Mutant(NamedTuple):
@@ -137,6 +139,36 @@ MUTANTS = (
         "(-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),",
         "(-1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, 1, 1),",
         "tests/test_analytic.py",
+    ),
+    # the sampler's conditional column: both compares, then a picks one per trial
+    Mutant(
+        "_conditional without alt &= a",
+        SAMPLER,
+        "    alt &= a\n",
+        "",
+        "tests/test_sampler.py",
+    ),
+    Mutant(
+        "_conditional limits swapped",
+        SAMPLER,
+        "    _below(draws, limits[0], out)\n    _below(draws, limits[1], alt)\n",
+        "    _below(draws, limits[1], out)\n    _below(draws, limits[0], alt)\n",
+        "tests/test_sampler.py",
+    ),
+    Mutant(
+        "_conditional out ^= alt as out |= alt",
+        SAMPLER,
+        "    out ^= alt\n",
+        "    out |= alt\n",
+        "tests/test_sampler.py",
+    ),
+    # the CLI run as a program asks OpenBLAS for one thread
+    Mutant(
+        "OPENBLAS_NUM_THREADS default dropped",
+        CLI,
+        '        os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")\n',
+        "        pass\n",
+        "tests/test_cli.py",
     ),
 )
 

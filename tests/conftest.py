@@ -26,10 +26,14 @@ SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 @pytest.fixture
 def python():
-    """Run code in a fresh interpreter that imports the package from src/; return its stdout."""
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+    """Run code in a fresh interpreter that imports the package from src/; return its stdout.
+
+    The child inherits ``os.environ`` as it is at the call, so a test can
+    set its environment with ``monkeypatch.setenv``.
+    """
 
     def run(code, *args, cwd=None):
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run(
             [sys.executable, "-c", code, *args], env=env, cwd=cwd, capture_output=True, text=True,
             timeout=60,

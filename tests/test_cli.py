@@ -500,3 +500,46 @@ def test_data_errors_inside_a_command_exit_two(capsys, monkeypatch, error):
     assert rc == 2
     assert out == ""
     assert err == f"error: {error}\n"
+
+
+def _blas_is_openblas() -> bool:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
+# runs the CLI as the console script does, with argv from sys.argv, and
+# prints the process's thread count and its OpenBLAS setting afterwards
+THREADS_AFTER_MAIN = """\
+import os, sys
+from bellwigner import cli
+sys.argv = ["bellwigner", "convergence", "--n-list", "1000"]
+rc = cli.main()
+print(rc, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREADS"))
+"""
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
+@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.parametrize("inherited, kept", [(None, "1"), ("2", "2")], ids=["unset", "set"])
+def test_the_program_asks_openblas_for_one_thread(python, monkeypatch, inherited, kept):
+    # no command calls BLAS, so OpenBLAS's worker threads are pure launch
+    # cost; a value already in the environment is the user's and wins
+    if inherited is None:
+        monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    else:
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", inherited)
+    rc, threads, setting = python(THREADS_AFTER_MAIN).splitlines()[-1].split()
+    assert rc == "0"
+    assert setting == kept
+    if inherited is None:
+        assert threads == "1"
+
+
+def test_main_with_argv_leaves_the_environment_alone(capsys, monkeypatch):
+    # in-process callers pass argv; only a program run sets the OpenBLAS default
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    assert run(capsys, "analytic")[0] == 0
+    assert dict(os.environ) == before
