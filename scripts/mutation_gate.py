@@ -162,6 +162,29 @@ MUTANTS = (
         "    out |= alt\n",
         "tests/test_sampler.py",
     ),
+    # the driver: one Philox per column, jumped once; rng left after every column
+    Mutant(
+        "column generators jumped by slice size, not n",
+        SAMPLER,
+        "_philox_at(np.random.Philox(), state, j * n)",
+        "_philox_at(np.random.Philox(), state, j * size)",
+        "tests/test_sampler.py",
+    ),
+    Mutant(
+        "rng left after one column",
+        SAMPLER,
+        "_leave_at(bg, state, width * n)",
+        "_leave_at(bg, state, n)",
+        "tests/test_sampler.py",
+    ),
+    # the sampling model: P(+1 | a = -1) is cos^2, P(+1 | a = +1) sin^2
+    Mutant(
+        "_conditionals without [::-1]",
+        SAMPLER,
+        "sin2_cos2(k, s - cfg.a)[::-1]",
+        "sin2_cos2(k, s - cfg.a)",
+        "tests/test_sampler.py",
+    ),
     # the CLI run as a program asks OpenBLAS for one thread
     Mutant(
         "OPENBLAS_NUM_THREADS default dropped",

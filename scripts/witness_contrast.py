@@ -10,6 +10,10 @@ census confirm both claims numerically.
 
 import argparse
 import math
+import os
+
+# no step calls BLAS: keep numpy's OpenBLAS from starting its worker threads
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
 
 from bellwigner import (
     AngleConfig,

@@ -12,21 +12,18 @@ a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
 
-One driver, `_sample_slices`, draws every sample: the calling thread and
-helper threads draw trials in slices, which are handed to a visitor in
-trial order. The visitor stores them as int8 columns (`sample_dataset`,
-both matched-pairs arms), folds them into the exact sums (the convergence
-study) or writes them out as file rows (`stream_dataset`, which the
-simulate command uses), so only the stored columns grow with the sample
-count. Outputs are bit-identical to serial drawing for any slice size and
-thread count.
+One driver, `_sample_slices`, draws every sample in slices of trials and
+hands them to a visitor in trial order. The visitor stores them as int8
+columns (`sample_dataset`, both matched-pairs arms), folds them into the
+exact sums (the convergence study) or writes them out as file rows
+(`stream_dataset`, which the simulate command uses), so only the stored
+columns grow with the sample count. Outputs are bit-identical to drawing
+whole columns for any slice size.
 """
 
 from __future__ import annotations
 
 import math
-import os
-import threading
 from typing import Sequence
 
 import numpy as np
@@ -50,23 +47,10 @@ def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
-# Trials are drawn in slices of this many. Each thread holds one slice at a
+# Trials are drawn in slices of this many. The driver holds one slice at a
 # time: its bool columns and the raw 64-bit draws of the column being drawn
 # (128 KiB for 2**14 trials).
 _DRAW_SLICE = 1 << 14
-
-
-def _usable_cpus() -> int:
-    try:
-        return len(os.sched_getaffinity(0))
-    except AttributeError:
-        return os.cpu_count() or 1
-
-
-# Threads that draw slices, the calling thread included; one means every
-# draw is made serially by the caller. Philox.random_raw releases the GIL,
-# so on a multi-core host the threads draw in parallel.
-_THREADS = _usable_cpus()
 
 
 def _philox_at(bg: np.random.Philox, state: dict, skip: int) -> np.random.Philox:
@@ -149,70 +133,36 @@ def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> Non
     outcomes do not depend on how the trials are sliced.
 
     Sampling takes Philox generators (`make_rng`) and refuses others with
-    a ``TypeError`` before it draws. Slices of ``_DRAW_SLICE`` trials are
-    dealt in turn to the calling thread and up to ``_THREADS - 1`` helpers,
-    one thread per full slice. Each column of a slice is raw 64-bit draws
-    from the thread's own Philox jumped ahead to that column's first draw of
-    the slice and compared with the integer limit of each probability
-    (`_raw_limit`); a conditional column is compared with both of its limits
-    and a picks one per trial (`_conditional`). Threads draw in parallel but
-    visit in slice order. The first error raised on any thread, in a draw or
-    a visit, stops them all and is raised here. ``rng`` is then left where
-    serial drawing would leave it.
+    a ``TypeError`` before it draws. Each column has its own Philox, jumped
+    once to the column's first draw; every slice of ``_DRAW_SLICE`` trials
+    takes the next raw 64-bit draws of each column and compares them with
+    the integer limit of each probability (`_raw_limit`). A conditional
+    column is compared with both of its limits and a picks one per trial
+    (`_conditional`). ``rng`` is then left where serial drawing would
+    leave it.
     """
     bg = rng.bit_generator
     if not isinstance(bg, np.random.Philox):
         raise TypeError(f"sampling takes a Philox generator (make_rng), not {type(bg).__name__}")
     state = bg.state
     size = min(n, _DRAW_SLICE)
-    starts = range(0, n, size)
-    # one thread per full slice: a short last slice is not worth a thread
-    count = min(_THREADS, max(1, n // size))
     width = 1 + len(conditionals)
     # per column, the raw limits of an outcome of +1 after a = -1 and a = +1
     column_limits = [tuple(map(_raw_limit, pair)) for pair in [(0.5, 0.5), *conditionals]]
-    turn = threading.Condition()
-    next_visit = 0
-    errors = []  # a thread's error stops every thread and reaches the caller
-
-    def work(t: int) -> None:
-        nonlocal next_visit
-        own = np.random.Philox()
-        cols = np.empty((width, size), dtype=np.bool_)
-        alt = np.empty(size, dtype=np.bool_)
-        try:
-            for i in range(t, len(starts), count):
-                lo = starts[i]
-                m = min(n - lo, size)
-                slice_cols = cols[:, :m]
-                a = slice_cols[0]
-                for j, (col, limits) in enumerate(zip(slice_cols, column_limits)):
-                    draws = _philox_at(own, state, j * n + lo).random_raw(m)
-                    if j:
-                        _conditional(draws, limits, a, col, alt[:m])
-                    else:
-                        _below(draws, limits[0], col)
-                with turn:
-                    turn.wait_for(lambda: next_visit == i or errors)
-                    if errors:
-                        return
-                visit(lo, slice_cols)
-                with turn:
-                    next_visit += 1
-                    turn.notify_all()
-        except BaseException as exc:
-            with turn:
-                errors.append(exc)
-                turn.notify_all()
-
-    helpers = [threading.Thread(target=work, args=(t,), daemon=True) for t in range(1, count)]
-    for thread in helpers:
-        thread.start()
-    work(0)
-    for thread in helpers:
-        thread.join()
-    if errors:
-        raise errors[0]
+    gens = [_philox_at(np.random.Philox(), state, j * n) for j in range(width)]
+    cols = np.empty((width, size), dtype=np.bool_)
+    alt = np.empty(size, dtype=np.bool_)
+    for lo in range(0, n, size):
+        m = min(n - lo, size)
+        slice_cols = cols[:, :m]
+        a = slice_cols[0]
+        for j, (gen, col, limits) in enumerate(zip(gens, slice_cols, column_limits)):
+            draws = gen.random_raw(m)
+            if j:
+                _conditional(draws, limits, a, col, alt[:m])
+            else:
+                _below(draws, limits[0], col)
+        visit(lo, slice_cols)
     _leave_at(bg, state, width * n)
 
 
@@ -244,7 +194,7 @@ def stream_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator, visit) ->
     ``visit(columns)`` is called on each slice in trial order, ``columns``
     being the slice's bool (a, b, b') rows, True = +1, valid only during the
     call. Sampling takes Philox generators (`make_rng`) and refuses others;
-    memory stays at a slice of draws per thread at any n.
+    memory stays at one slice of draws at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")

@@ -24,6 +24,13 @@ datasets = st.lists(trial_rows, min_size=1, max_size=64).map(DataSetTriple.from_
 SRC = str(Path(__file__).resolve().parent.parent / "src")
 
 
+def blas_is_openblas() -> bool:
+    import numpy as np
+
+    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
+    return "openblas" in str(blas.get("name", "")).lower()
+
+
 @pytest.fixture
 def python():
     """Run code in a fresh interpreter that imports the package from src/; return its stdout.

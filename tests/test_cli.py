@@ -13,7 +13,7 @@ from bellwigner import AngleConfig, data_bell_margin_3, make_rng, sample_dataset
 from bellwigner import EmptyDataError, LengthMismatchError, datafile, sampler
 from bellwigner.cli import main
 from bellwigner.datafile import DataParseError, read_outcome_csv, write_triples_csv
-from conftest import SRC
+from conftest import SRC, blas_is_openblas
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
 
@@ -365,10 +365,10 @@ def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv
 
 
 def test_streamed_simulate_writes_the_sampled_data_set(tmp_path, capsys):
-    # slices end inside the file and three threads draw ahead, yet the rows
-    # land in trial order: the bytes of writing the whole sampled data set
+    # slices end inside the file, yet the rows land in trial order: the
+    # bytes of writing the whole sampled data set
     cfg = AngleConfig(0.0, 2 * math.pi / 3, math.pi / 3)
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
+    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
         rc, out, _ = run(capsys, "simulate", "--n", "1000", "--seed", "5", "--out", str(tmp_path / "s.csv"))
         expected = write_triples_csv(str(tmp_path / "w.csv"), sample_dataset(cfg, 1000, make_rng(5)))
     assert rc == 0
@@ -378,9 +378,9 @@ def test_streamed_simulate_writes_the_sampled_data_set(tmp_path, capsys):
 
 def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
     # whole int8 columns would take 6 MB at n = 2e6 and 12 MB at 4e6; the
-    # streamed rows hold a few slices per thread at any n
+    # streamed rows hold one slice of draws at any n
     out = str(tmp_path / "s.csv")
-    with mock.patch.multiple(sampler, _DRAW_SLICE=1 << 12, _THREADS=4):
+    with mock.patch.object(sampler, "_DRAW_SLICE", 1 << 12):
         run(capsys, "simulate", "--n", "10000", "--out", out)  # warm-up
         for n in (2_000_000, 4_000_000):
             tracemalloc.start()
@@ -502,13 +502,6 @@ def test_data_errors_inside_a_command_exit_two(capsys, monkeypatch, error):
     assert err == f"error: {error}\n"
 
 
-def _blas_is_openblas() -> bool:
-    import numpy as np
-
-    blas = np.show_config(mode="dicts").get("Build Dependencies", {}).get("blas", {})
-    return "openblas" in str(blas.get("name", "")).lower()
-
-
 # runs the CLI as the console script does, with argv from sys.argv, and
 # prints the process's thread count and its OpenBLAS setting afterwards
 THREADS_AFTER_MAIN = """\
@@ -521,7 +514,7 @@ print(rc, len(os.listdir("/proc/self/task")), os.environ.get("OPENBLAS_NUM_THREA
 
 
 @pytest.mark.skipif(not sys.platform.startswith("linux"), reason="counts /proc/self/task")
-@pytest.mark.skipif(not _blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
+@pytest.mark.skipif(not blas_is_openblas(), reason="numpy's BLAS is not OpenBLAS")
 @pytest.mark.parametrize("inherited, kept", [(None, "1"), ("2", "2")], ids=["unset", "set"])
 def test_the_program_asks_openblas_for_one_thread(python, monkeypatch, inherited, kept):
     # no command calls BLAS, so OpenBLAS's worker threads are pure launch

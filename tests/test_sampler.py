@@ -2,9 +2,7 @@ import itertools
 import json
 import math
 import os
-import sys
 import threading
-import time
 import tracemalloc
 from unittest import mock
 
@@ -17,7 +15,7 @@ from bellwigner import sampler
 from bellwigner.analytic import half_angle_factor, pattern_probabilities
 from bellwigner.data_inequality import PatternCounts, _triple_sums
 from bellwigner.datafile import TriplesWriter
-from bellwigner.sampler import _usable_cpus, stream_dataset
+from bellwigner.sampler import stream_dataset
 from bellwigner import (
     AngleConfig,
     AngleConvention,
@@ -246,58 +244,38 @@ def test_sampled_columns_are_not_copied():
         assert np.shares_memory(row, col)
 
 
-def _visited(n, rng, conditionals, pause_at=None):
-    """Each slice's (lo, copy of its bool columns), in the order the driver visits them.
-
-    The visit of the slice at ``pause_at`` sleeps first, so the other
-    threads finish drawing their slices while it waits.
-    """
+def _visited(n, rng, conditionals):
+    """Each slice's (lo, copy of its bool columns), in the order the driver visits them."""
     seen = []
-
-    def record(lo, columns):
-        if lo == pause_at:
-            time.sleep(0.05)
-        seen.append((lo, columns.copy()))
-
-    sampler._sample_slices(n, rng, conditionals, record)
+    sampler._sample_slices(n, rng, conditionals, lambda lo, columns: seen.append((lo, columns.copy())))
     return seen
 
 
 def test_slices_are_visited_in_trial_order():
-    # threads draw ahead while the first visit sleeps, yet visits stay in order
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        slices = _visited(50, make_rng(8), [(0.2, 0.7)], pause_at=0)
+    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
+        slices = _visited(50, make_rng(8), [(0.2, 0.7)])
     assert [(lo, c.shape) for lo, c in slices] == [(lo, (2, min(7, 50 - lo))) for lo in range(0, 50, 7)]
 
 
-def _raised_on_a_thread(call):
-    """What ``call()`` raised, run on its own thread; it must neither hang nor leave threads."""
-    raised = []
-
-    def guarded():
-        try:
-            call()
-        except BaseException as exc:
-            raised.append(exc)
-
+@pytest.mark.parametrize("n", [6, 7, 10, 14, 20, 21, 50])
+def test_every_slice_is_drawn_and_visited_on_the_calling_thread(n):
+    # one serial loop: a run of one slice, of whole slices or with a short
+    # last slice starts no thread
     before = threading.active_count()
-    runner = threading.Thread(target=guarded, daemon=True)
-    runner.start()
-    runner.join(timeout=30)
-    assert not runner.is_alive(), "the driver hung after a thread failed"
+    visits = []
+
+    def visit(lo, columns):
+        visits.append((lo, threading.current_thread(), threading.active_count()))
+
+    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
+        sampler._sample_slices(n, make_rng(8), [(0.2, 0.7)], visit)
+    assert visits == [(lo, threading.current_thread(), before) for lo in range(0, n, 7)]
     assert threading.active_count() == before
-    return raised
 
 
-@pytest.mark.parametrize(
-    "fail_at, error",
-    [(14, MemoryError), (14, SystemExit), (21, KeyboardInterrupt)],
-    ids=["helper-MemoryError", "helper-SystemExit", "caller-KeyboardInterrupt"],
-)
-def test_a_failing_visit_stops_every_thread(fail_at, error):
-    # one slice's visit raises while the other threads wait for their turn
-    # or draw ahead; all of them must finish and the caller gets the error.
-    # With three threads the slice at 14 is a helper's, the one at 21 the caller's.
+@pytest.mark.parametrize("fail_at, error", [(0, MemoryError), (14, SystemExit), (49, KeyboardInterrupt)])
+def test_a_failing_visit_reaches_the_caller(fail_at, error):
+    # the visit's error stops the run and reaches the caller; no later slice is visited
     visited = []
 
     def visit(lo, columns):
@@ -305,51 +283,32 @@ def test_a_failing_visit_stops_every_thread(fail_at, error):
             raise error(f"slice at {lo}")
         visited.append(lo)
 
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        raised = _raised_on_a_thread(
-            lambda: sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], visit)
-        )
-    assert [(type(exc), str(exc)) for exc in raised] == [(error, f"slice at {fail_at}")]
+    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
+        with pytest.raises(error, match=f"^slice at {fail_at}$"):
+            sampler._sample_slices(50, make_rng(8), [(0.2, 0.7)], visit)
     assert visited == list(range(0, fail_at, 7))
 
 
 def test_a_failing_draw_reaches_the_caller(monkeypatch):
-    # a helper's draw raises before its slice's turn to be visited: the
-    # threads waiting for that visit must stop, and the caller gets the error
+    # the draw of the slice at 14 raises: the caller gets the error, no later
+    # slice is visited, and the caller's generator is not moved
     conditional = sampler._conditional
-    caller = []
-    helper_calls = itertools.count()
+    calls = itertools.count()
+    visited = []
 
     def failing(*args):
-        if threading.current_thread() is not caller[0] and next(helper_calls) == 0:
+        if next(calls) == 2:
             raise MemoryError("draw")
         conditional(*args)
 
-    def call():
-        caller.append(threading.current_thread())
-        sampler._sample_slices(100, make_rng(8), [(0.2, 0.7)], lambda lo, columns: None)
-
     monkeypatch.setattr(sampler, "_conditional", failing)
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        raised = _raised_on_a_thread(call)
-    assert [(type(exc), str(exc)) for exc in raised] == [(MemoryError, "draw")]
-
-
-@pytest.mark.parametrize("n, threads", [(6, 1), (7, 1), (10, 1), (14, 2), (20, 2), (21, 3), (50, 3)])
-def test_one_thread_per_full_slice(n, threads):
-    # the caller draws as one of the threads; a short last slice rides on a
-    # thread that draws a full one
-    visits = []
-
-    def visit(lo, columns):
-        visits.append((lo, threading.get_ident()))
-
-    with mock.patch.multiple(sampler, _DRAW_SLICE=7, _THREADS=3):
-        sampler._sample_slices(n, make_rng(8), [(0.2, 0.7)], visit)
-    assert [lo for lo, _ in visits] == list(range(0, n, 7))
-    idents = {ident for _, ident in visits}
-    assert len(idents) == threads
-    assert threading.get_ident() in idents
+    rng = make_rng(8)
+    before = _state_text(rng.bit_generator)
+    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
+        with pytest.raises(MemoryError, match="^draw$"):
+            sampler._sample_slices(50, rng, [(0.2, 0.7)], lambda lo, columns: visited.append(lo))
+    assert visited == [0, 7]
+    assert _state_text(rng.bit_generator) == before
 
 
 def _state_text(bit_generator):
@@ -395,14 +354,14 @@ def test_driver_leaves_the_generator_after_every_column(width):
     reference = make_rng(seed)
     reference.random(width * n)
     rng = make_rng(seed)
-    with mock.patch.multiple(sampler, _DRAW_SLICE=5, _THREADS=3):
+    with mock.patch.object(sampler, "_DRAW_SLICE", 5):
         _visited(n, rng, [(0.3, 0.6)] * (width - 1))
     assert rng.random(8).tolist() == reference.random(8).tolist()
 
 
 def test_certain_conditionals_copy_or_flip_a():
     # P(+1 | a) of 0 or 1 makes a conditional column a function of a
-    with mock.patch.multiple(sampler, _DRAW_SLICE=16, _THREADS=2):
+    with mock.patch.object(sampler, "_DRAW_SLICE", 16):
         slices = _visited(200, make_rng(12), [(0.0, 1.0), (1.0, 0.0)])
     a, same, flipped = np.concatenate([c for _, c in slices], axis=1)
     assert a.dtype == np.bool_
@@ -412,7 +371,7 @@ def test_certain_conditionals_copy_or_flip_a():
 
 
 def test_sampled_columns_are_read_only_plus_minus_one():
-    with mock.patch.multiple(sampler, _DRAW_SLICE=9, _THREADS=2):
+    with mock.patch.object(sampler, "_DRAW_SLICE", 9):
         out = sampler._sample_columns(40, make_rng(6), [(0.2, 0.7), (0.9, 0.1)])
     assert out.shape == (3, 40)
     assert out.dtype == np.int8
@@ -423,7 +382,7 @@ def test_sampled_columns_are_read_only_plus_minus_one():
 
 
 def _serial_plus_outcomes(n, rng, p, a=None, p_a_plus=0.0):
-    # the serial slice loop the threaded sampler replaced, kept as its reference
+    # the whole-column loop the sliced sampler replaced, kept as its reference
     out = np.empty(n, dtype=np.int8)
     for lo in range(0, n, 1 << 20):
         s = slice(lo, min(n, lo + (1 << 20)))
@@ -462,28 +421,18 @@ def _prepared(rng, pre, half):
 @given(
     n=st.integers(1, 60),
     draw_slice=st.integers(1, 9),
-    extra_threads=st.integers(1, 6),
     pre=st.integers(0, 3),
     half=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     convention=st.sampled_from(AngleConvention),
 )
-def test_threaded_draws_match_serial_reference(
-    n, draw_slice, extra_threads, pre, half, seed, convention
-):
-    # more threads than CPUs, each filling many tiny slices, switching often
+def test_sliced_draws_match_serial_reference(n, draw_slice, pre, half, seed, convention):
+    # many tiny slices, most ending inside a column, from every buffer position
     cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
     with mock.patch.object(sampler, "_sample_columns", _serial_sample_columns):
         expected = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.multiple(
-            sampler, _DRAW_SLICE=draw_slice, _THREADS=_usable_cpus() + extra_threads
-        ):
-            got = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.object(sampler, "_DRAW_SLICE", draw_slice):
+        got = _draws(cfg, n, _prepared(make_rng(seed), pre, half))
     assert got == expected
 
 
@@ -576,35 +525,27 @@ def _sums_and_after(sums, rng):
 @given(
     n=st.integers(1, 60),
     draw_slice=st.integers(1, 9),
-    threads=st.integers(1, 6),
     pre=st.integers(0, 3),
     half=st.booleans(),
     seed=st.integers(0, 2**32 - 1),
     convention=st.sampled_from(AngleConvention),
 )
-def test_streamed_sums_match_column_reference(
-    n, draw_slice, threads, pre, half, seed, convention
-):
-    # slices end inside each column and threads switch often, yet the sums
-    # and the generator's later draws are those of the whole columns
+def test_streamed_sums_match_column_reference(n, draw_slice, pre, half, seed, convention):
+    # slices end inside each column, yet the sums and the generator's later
+    # draws are those of the whole columns
     cfg = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3, convention)
     rng = _prepared(make_rng(seed), pre, half)
     expected = _sums_and_after(_triple_sums(PatternCounts.of(sample_dataset(cfg, n, rng))), rng)
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        with mock.patch.multiple(sampler, _DRAW_SLICE=draw_slice, _THREADS=threads):
-            rng = _prepared(make_rng(seed), pre, half)
-            got = _sums_and_after(sampler._sample_sums(cfg, n, rng), rng)
-    finally:
-        sys.setswitchinterval(interval)
+    with mock.patch.object(sampler, "_DRAW_SLICE", draw_slice):
+        rng = _prepared(make_rng(seed), pre, half)
+        got = _sums_and_after(sampler._sample_sums(cfg, n, rng), rng)
     assert got == expected
 
 
 def test_convergence_memory_does_not_grow_with_n():
     # whole int8 columns would take 6 MB at n = 2e6 and 12 MB at 4e6; the
-    # streamed sums hold a few slices per thread at any n
-    with mock.patch.multiple(sampler, _DRAW_SLICE=1 << 12, _THREADS=4):
+    # streamed sums hold one slice of draws at any n
+    with mock.patch.object(sampler, "_DRAW_SLICE", 1 << 12):
         convergence_study(CFG, [10_000], seed=3)  # warm-up
         for n in (2_000_000, 4_000_000):
             tracemalloc.start()
@@ -627,15 +568,13 @@ def _devnull_rows(n):
     ids=["convergence", "stream-to-rows"],
 )
 def test_default_slices_hold_under_a_mebibyte(call):
-    # two threads at the default slice size, each holding one slice's raw
-    # draws and bool columns, and the row writer one slice's temporaries;
-    # with 2^16-trial slices both calls peaked at 2.4 MiB
-    with mock.patch.object(sampler, "_THREADS", 2):
-        call(10_000)  # warm-up
-        tracemalloc.start()
-        try:
-            call(10**6)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
+    # the driver at the default slice size holds one slice's raw draws and
+    # bool columns, and the row writer one slice's temporaries
+    call(10_000)  # warm-up
+    tracemalloc.start()
+    try:
+        call(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
     assert peak < 2**20, peak
