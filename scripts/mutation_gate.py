@@ -85,6 +85,14 @@ MUTANTS = (
         "third(math, k, (b - a) - (bp - a)) for bp in angles",
         "tests/test_sweep.py",
     ),
+    # the one kind-and-mode table that the census minimum and the streams share
+    Mutant(
+        "Wigner third step as the Bell term",
+        ANALYTIC,
+        "_sin2_cos2, _wigner_third, _wigner_sides",
+        "_sin2_cos2, _bell_term, _wigner_sides",
+        "tests/test_sweep.py",
+    ),
     # halving is exact, so 0.5 * (c2b * s2bp + s2b * c2bp) would be the
     # same floats; sin^2 as 1 - cos^2 is the same rhs rounded otherwise
     Mutant(

@@ -22,13 +22,14 @@ counts, so the margins are nonnegative for every setting choice. NAIVE mode
 substitutes the unconditional forms instead, which is what makes the
 textbook violations appear. The margin helpers take plain Python floats,
 which they evaluate with `math`, or numpy arrays and scalars, which they
-evaluate with numpy ufuncs. Each margin has two steps that serve both: the
-terms of one setting difference (`_bell_term`, `_sin2_cos2`; in NAIVE mode
-also the third pair's at b - b', `_bell_term`, `_wigner_third`), then
-(lhs, rhs) from the terms (`_bell_sides`, `_wigner_sides`). The sweep's
-census calls the whole kernel point by point and its record streams the
-steps, neither loading numpy; the sweep tests check that both give a grid
-point's numpy margin bit for bit.
+evaluate with numpy ufuncs. `_margin_steps` alone turns a kind and a mode
+into a margin's steps: the term of one setting difference (`_bell_term`,
+`_sin2_cos2`), in NAIVE mode the third pair's at b - b' (`_bell_term`,
+`_wigner_third`), then (lhs, rhs) from the terms (`_bell_sides`,
+`_wigner_sides`). The margin helpers compose them at a point or over arrays,
+and the sweep's census minimum and record streams in plain floats without
+numpy; the sweep tests check both against a grid point's numpy margin bit
+for bit.
 """
 
 from __future__ import annotations
@@ -79,11 +80,6 @@ def _sin2_cos2(trig, k, d):
     # s * s is what numpy computes for s ** 2; Python's ** would call pow
     s, c = trig.sin(k * d), trig.cos(k * d)
     return s * s, c * c
-
-
-def _check_margin_mode(mode: Mode) -> None:
-    if mode not in (Mode.PAPER, Mode.NAIVE):
-        raise ValueError(f"analytic margins take Mode.PAPER or Mode.NAIVE, got {mode!r}")
 
 
 def joint_probability(
@@ -165,14 +161,6 @@ def _bell_sides(c_ab, c_abp, c_bbp):
     return lhs, 1.0 + c_bbp
 
 
-def bell_margin_parts(a, b, bp, k: float, mode: Mode):
-    """(lhs, rhs) of the correlation Bell inequality; broadcasts over arrays."""
-    _check_margin_mode(mode)
-    trig = _trig(a, b, bp, k)
-    third = _bell_term(trig, k, b - bp) if mode is Mode.NAIVE else None
-    return _bell_sides(_bell_term(trig, k, b - a), _bell_term(trig, k, bp - a), third)
-
-
 def _wigner_third(trig, k, d):
     """sin(k d) at d = b - b': the NAIVE Wigner bound is half its square."""
     return trig.sin(k * d)
@@ -194,6 +182,36 @@ def _wigner_sides(terms_b, terms_bp, sin_bbp):
     return lhs, 0.5 * (sin_bbp * sin_bbp)
 
 
+def _margin_steps(kind: InequalityKind, mode: Mode):
+    """(term, third, sides): the steps of the `kind` margin in `mode`.
+
+    term(trig, k, d) is a measured pair's term at setting difference d,
+    third(trig, k, d) the NAIVE third pair's at d = b - b' (None in PAPER
+    mode), and sides(term_b, term_bp, third_bbp) a point's (lhs, rhs).
+    """
+    if kind is InequalityKind.CORR_BELL:
+        term, third, sides = _bell_term, _bell_term, _bell_sides
+    elif kind is InequalityKind.WIGNER:
+        term, third, sides = _sin2_cos2, _wigner_third, _wigner_sides
+    else:
+        raise ValueError(f"margin kernels evaluate CORR_BELL or WIGNER, got {kind!r}")
+    if mode not in (Mode.PAPER, Mode.NAIVE):
+        raise ValueError(f"analytic margins take Mode.PAPER or Mode.NAIVE, got {mode!r}")
+    return term, third if mode is Mode.NAIVE else None, sides
+
+
+def _margin_sides(kind: InequalityKind, a, b, bp, k: float, mode: Mode):
+    """(lhs, rhs) of the `kind` margin in `mode`; broadcasts over arrays."""
+    term, third, sides = _margin_steps(kind, mode)
+    trig = _trig(a, b, bp, k)
+    return sides(term(trig, k, b - a), term(trig, k, bp - a), third and third(trig, k, b - bp))
+
+
+def bell_margin_parts(a, b, bp, k: float, mode: Mode):
+    """(lhs, rhs) of the correlation Bell inequality; broadcasts over arrays."""
+    return _margin_sides(InequalityKind.CORR_BELL, a, b, bp, k, mode)
+
+
 def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     """(lhs, rhs) of the Wigner inequality; broadcasts over arrays.
 
@@ -201,10 +219,13 @@ def wigner_margin_parts(a, b, bp, k: float, mode: Mode):
     setting corresponds to a -1 at b'; in PAPER mode the bound is therefore
     the conditional P(+,-) of the (b, b') pair.
     """
-    _check_margin_mode(mode)
-    trig = _trig(a, b, bp, k)
-    third = _wigner_third(trig, k, b - bp) if mode is Mode.NAIVE else None
-    return _wigner_sides(_sin2_cos2(trig, k, b - a), _sin2_cos2(trig, k, bp - a), third)
+    return _margin_sides(InequalityKind.WIGNER, a, b, bp, k, mode)
+
+
+def _report(kind: InequalityKind, cfg: AngleConfig, mode: Mode) -> InequalityReport:
+    k = half_angle_factor(cfg.convention)
+    lhs, rhs = _margin_sides(kind, cfg.a, cfg.b, cfg.bp, k, mode)
+    return InequalityReport.from_sides(kind, mode, float(lhs), float(rhs), TOLERANCE)
 
 
 def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
@@ -213,20 +234,12 @@ def bell_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
     PAPER mode uses the conditional third correlation, NAIVE the -cos
     substitution (rhs = 1 + C(b,b')).
     """
-    k = half_angle_factor(cfg.convention)
-    lhs, rhs = bell_margin_parts(cfg.a, cfg.b, cfg.bp, k, mode)
-    return InequalityReport.from_sides(
-        InequalityKind.CORR_BELL, mode, float(lhs), float(rhs), TOLERANCE
-    )
+    return _report(InequalityKind.CORR_BELL, cfg, mode)
 
 
 def wigner_margin(cfg: AngleConfig, mode: Mode) -> InequalityReport:
     """Wigner inequality P++(a,b) - P++(a,b') <= bound on the third pair."""
-    k = half_angle_factor(cfg.convention)
-    lhs, rhs = wigner_margin_parts(cfg.a, cfg.b, cfg.bp, k, mode)
-    return InequalityReport.from_sides(
-        InequalityKind.WIGNER, mode, float(lhs), float(rhs), TOLERANCE
-    )
+    return _report(InequalityKind.WIGNER, cfg, mode)
 
 
 def wigner_slack(cfg: AngleConfig) -> float:

@@ -248,6 +248,11 @@ class AngleConfig:
             if not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
+        # the kernels take sin and cos of up to twice these differences
+        for x, y in (("b", "a"), ("bp", "a"), ("b", "bp")):
+            d = getattr(self, x) - getattr(self, y)
+            if not math.isfinite(2.0 * d):
+                raise ValueError(f"angles {x} and {y} must differ by less than 2**1023, got {d!r}")
         if not isinstance(self.convention, AngleConvention):
             raise ValueError(f"not an AngleConvention: {self.convention!r}")
 

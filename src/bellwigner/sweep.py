@@ -6,11 +6,11 @@ settings only through b - a and b' - a, so on this periodic grid the a-plane
 at index ia is the a = 0 plane rolled by ia along both axes. The census is
 an O(1) closed form (`violation_census`). Its min and argmin are those of
 the float a = 0 plane, found from O(R) candidate points that the factorised
-margins single out and evaluated in plain floats, without numpy
-(`grid_sweep`). Record streams walk every plane in plain floats too, row by
-row: the kernel's per-setting terms once per plane, its NAIVE third-pair
-terms once per row, each point's sides from those (`_record_rows`). They
-hold O(R) floats at any resolution and load no numpy either.
+margins single out (`grid_sweep`). Record streams walk every plane row by
+row: the per-setting terms once per plane, the NAIVE third-pair terms once
+per row, each point's sides from those (`_record_rows`). Both compose the
+steps that `analytic._margin_steps` gives for a kind and mode, in plain
+floats: they hold O(R) floats at any resolution and load no numpy.
 
 The margins are functions of grid differences, so a record stream repeats
 its values heavily (an R=60 stream holds 3k-13k distinct floats in 648,000
@@ -26,18 +26,7 @@ from array import array
 from itertools import repeat, takewhile
 from typing import IO, TYPE_CHECKING, Iterator
 
-from .analytic import (
-    _bell_sides,
-    _bell_term,
-    _check_margin_mode,
-    _sin2_cos2,
-    _wigner_sides,
-    _wigner_third,
-    bell_margin_parts,
-    half_angle_factor,
-    sin2_cos2,
-    wigner_margin_parts,
-)
+from .analytic import _margin_steps, half_angle_factor, sin2_cos2
 from .core import AngleConfig, AngleConvention, InequalityKind, Mode, _value_type
 
 if TYPE_CHECKING:
@@ -74,12 +63,10 @@ class SweepResult:
 
 
 def grid_angles(resolution: int) -> np.ndarray:
-    """Uniform half-open grid over [0, 2pi) with `resolution` points."""
-    if resolution < 2:
-        raise ValueError("resolution must be >= 2")
+    """Uniform half-open grid over [0, 2pi) with `resolution` points: i * (2pi / R)."""
     import numpy as np
 
-    return np.arange(resolution) * (2.0 * np.pi / resolution)
+    return np.array(_grid_floats(resolution))
 
 
 def _floats(resolution: int) -> array:
@@ -91,7 +78,7 @@ def _floats(resolution: int) -> array:
 
 
 def _grid_floats(resolution: int) -> array:
-    """`grid_angles(resolution)` as plain floats, bit for bit: i * (2pi / R)."""
+    """The grid angles i * (2pi / R) as plain floats, without numpy."""
     if resolution < 2:
         raise ValueError("resolution must be >= 2")
     angles = _floats(resolution)
@@ -99,31 +86,6 @@ def _grid_floats(resolution: int) -> array:
     for i in range(resolution):
         angles[i] = i * step
     return angles
-
-
-def _margin_parts(kind: InequalityKind):
-    """The (lhs, rhs) kernel that grid sweeps evaluate for `kind`."""
-    if kind is InequalityKind.CORR_BELL:
-        return bell_margin_parts
-    if kind is InequalityKind.WIGNER:
-        return wigner_margin_parts
-    raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
-
-
-def _margin_steps(kind: InequalityKind):
-    """(term, third, sides): the kernel of `kind` in the steps record streams take.
-
-    term(trig, k, d) is a measured pair's term at setting difference d,
-    third(trig, k, d) the NAIVE third pair's at d = b - b', and
-    sides(term_b, term_bp, third) the (lhs, rhs) of a point, with third
-    None in PAPER mode; `bell_margin_parts` and `wigner_margin_parts` are
-    the same steps on whole arrays.
-    """
-    if kind is InequalityKind.CORR_BELL:
-        return _bell_term, _bell_term, _bell_sides
-    if kind is InequalityKind.WIGNER:
-        return _sin2_cos2, _wigner_third, _wigner_sides
-    raise ValueError(f"grid sweeps evaluate CORR_BELL or WIGNER, got {kind!r}")
 
 
 def grid_sweep(
@@ -141,9 +103,10 @@ def grid_sweep(
     to a common translation of (a, b, b'): the first minimum of the float
     a = 0 plane in (b, b') order, as np.argmin gives it.
 
-    Only O(R) candidate points of that plane are evaluated, with the same
-    kernel, in plain floats and without numpy. With u = kx, v = ky the grid
-    angles of b and b' scaled by k, the exact margins factorise:
+    Only O(R) candidate points of that plane are evaluated, through the
+    kernel's steps (`_margin_steps`) in plain floats and without numpy.
+    With u = kx, v = ky the grid angles of b and b' scaled by k, the exact
+    margins factorise:
 
     - NAIVE Wigner W(u, v) = -cos u sin(u - v) sin v
       = (1/2) cos^2 u - (1/2) cos u cos(u - 2v), so every point of row u
@@ -175,8 +138,7 @@ def grid_sweep(
     is allocated before any loop, so a resolution too large for memory
     raises MemoryError at once.
     """
-    parts = _margin_parts(kind)
-    _check_margin_mode(mode)
+    term, third, sides = _margin_steps(kind, mode)
     violations = violation_census(resolution, convention)[(kind, mode)]
     k = half_angle_factor(convention)
     step = 2.0 * math.pi / resolution
@@ -187,7 +149,8 @@ def grid_sweep(
     def visit(points):
         nonlocal best, at
         for ib, ibp in points:
-            lhs, rhs = parts(0.0, ib * step, ibp * step, k, mode)
+            b, bp = ib * step, ibp * step
+            lhs, rhs = sides(term(math, k, b), term(math, k, bp), third and third(math, k, b - bp))
             margin = rhs - lhs
             if margin <= best:
                 flat = ib * resolution + ibp
@@ -234,24 +197,26 @@ def _record_rows(
     convention: AngleConvention,
     kind: InequalityKind,
     mode: Mode,
-) -> Iterator[tuple[int, int, list[tuple[float, float]]]]:
-    """(ia, ib, sides) per plane row, sides the (lhs, rhs) of each bp, in plain floats.
+) -> tuple[array, Iterator[tuple[int, int, list[tuple[float, float]]]]]:
+    """(angles, rows), checked and allocated first; a row is (ia, ib, (lhs, rhs) of each bp).
 
-    The kernel's steps (`_margin_steps`): once per a-plane the term of each
-    grid angle x at x - a, which serves as the term of b and of bp; in
-    NAIVE mode once per b-row the third-pair term of each b - bp; then each
-    point's (lhs, rhs) from those terms. Only O(R) floats are alive.
+    The rows compose `_margin_steps` in plain floats: once per a-plane the
+    term of each grid angle x at x - a, which serves as the term of b and of
+    bp; in NAIVE mode once per b-row the third-pair term of each b - bp;
+    then each point's (lhs, rhs). Only O(R) floats are alive.
     """
     angles = _grid_floats(resolution)
     k = half_angle_factor(convention)
-    term, third, sides = _margin_steps(kind)
-    _check_margin_mode(mode)
-    naive = mode is Mode.NAIVE
-    for ia, a in enumerate(angles):
-        terms = [term(math, k, x - a) for x in angles]
-        for ib, b in enumerate(angles):
-            thirds = [third(math, k, b - bp) for bp in angles] if naive else repeat(None)
-            yield ia, ib, list(map(sides, repeat(terms[ib]), terms, thirds))
+    term, third, sides = _margin_steps(kind, mode)
+
+    def rows():
+        for ia, a in enumerate(angles):
+            terms = [term(math, k, x - a) for x in angles]
+            for ib, b in enumerate(angles):
+                thirds = [third(math, k, b - bp) for bp in angles] if third else repeat(None)
+                yield ia, ib, list(map(sides, repeat(terms[ib]), terms, thirds))
+
+    return angles, rows()
 
 
 def iter_records(
@@ -261,8 +226,8 @@ def iter_records(
     mode: Mode,
 ) -> Iterator[tuple[float, float, float, float, float, float]]:
     """Stream every grid point as (a, b, bp, lhs, rhs, margin), in (a, b, bp) index order."""
-    angles = _grid_floats(resolution)
-    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
+    angles, rows = _record_rows(resolution, convention, kind, mode)
+    for ia, ib, row in rows:
         a, b = angles[ia], angles[ib]
         for bp, (lhs, rhs) in zip(angles, row):
             yield a, b, bp, lhs, rhs, rhs - lhs
@@ -307,17 +272,14 @@ def write_records_csv(
     anything is written. `out` is flushed at the end; if its reader closes
     it first, the BrokenPipeError says how many records were written.
     """
-    # each call raises on a bad argument, before the header is written
-    angles = [repr(x) for x in _grid_floats(resolution)]
-    half_angle_factor(convention)
-    _margin_steps(kind)
-    _check_margin_mode(mode)
+    grid, rows = _record_rows(resolution, convention, kind, mode)
+    angles = [repr(x) for x in grid]
     tails = [f"{bp},{kind.name},{mode.name}," for bp in angles]
     get, miss = _float_text()
     written = 0
     try:
         out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
-        for ia, ib, row in _record_rows(resolution, convention, kind, mode):
+        for ia, ib, row in rows:
             pre = f"{angles[ia]},{angles[ib]},"
             out.write("".join([
                 f"{pre}{tail}{get(left) or miss(left)},{get(right) or miss(right)},"

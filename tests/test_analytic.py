@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -308,3 +309,80 @@ def test_bell_margin_is_four_times_the_smaller_wigner_margin(cfg):
         w_swapped = wigner_margin(swapped, mode).margin
         assert abs(bell_margin(cfg, mode).margin - 4 * min(w, w_swapped)) <= 1e-14, mode
         assert abs(w - closed_form) <= 1e-14, mode
+
+
+# Half-tangents t of the rational points on the circle: cos = (1 - t^2)/(1 + t^2),
+# sin = 2t/(1 + t^2). Every angle but pi has one; these cover all four quadrants.
+HALF_TANGENTS = [Fraction(0)] + [
+    sign * Fraction(n, d)
+    for n, d in [(1, 7), (1, 3), (1, 2), (1, 1), (2, 1), (3, 1), (7, 1), (5, 4), (9, 5)]
+    for sign in (1, -1)
+]
+
+
+def circle_point(t):
+    """(cos, sin) of the angle 2 atan(t), exactly."""
+    d = 1 + t * t
+    return (1 - t * t) / d, 2 * t / d
+
+
+def exact_pattern_probability(u, v, sa, sb, sbp):
+    """q(a, b, b') = (1/2) P(b | a) P(b' | a), P(x | a) = sin^2 if x = a else cos^2."""
+    (cu, su), (cv, sv) = u, v
+    return Fraction(1, 2) * (su * su if sb == sa else cu * cu) * (sv * sv if sbp == sa else cv * cv)
+
+
+def exact_wigner_margin(u, v, mode):
+    """Wigner rhs - lhs at u = k(b - a), v = k(b' - a), from wigner_margin's docstring."""
+    (cu, su), (cv, sv) = u, v
+    lhs = (su * su - sv * sv) / 2  # P++(a, b) - P++(a, b')
+    if mode is Mode.PAPER:
+        # the conditional P(+, -) of the (b, b') pair
+        rhs = sum(exact_pattern_probability(u, v, sa, 1, -1) for sa in (1, -1))
+    else:
+        s_bbp = su * cv - cu * sv  # sin(u - v) = sin(k(b - b'))
+        rhs = s_bbp * s_bbp / 2
+    return rhs - lhs
+
+
+def exact_bell_margin(u, v, mode):
+    """Bell rhs - lhs at u = k(b - a), v = k(b' - a), from bell_margin's docstring."""
+    (cu, su), (cv, sv) = u, v
+    c_ab, c_abp = su * su - cu * cu, sv * sv - cv * cv  # -cos(2u), -cos(2v)
+    if mode is Mode.PAPER:
+        rhs = 1 - c_ab * c_abp  # 1 - cos(2u) cos(2v)
+    else:
+        c_d, s_d = cu * cv + su * sv, su * cv - cu * sv  # cos and sin of u - v
+        rhs = 1 + (s_d * s_d - c_d * c_d)  # 1 + C(b, b') = 1 - cos(2(u - v))
+    return rhs - abs(c_ab - c_abp)
+
+
+def test_margin_identities_hold_exactly_at_rational_points():
+    # no tolerance: the identities behind grid_sweep's candidate set and the
+    # census sign rule, in Fractions
+    points = [circle_point(t) for t in HALF_TANGENTS]
+    for u in points:
+        cu, su = u
+        for v in points:
+            cv, sv = v
+            paper = exact_wigner_margin(u, v, Mode.PAPER)
+            assert paper == cu * cu * sv * sv
+            assert paper == exact_pattern_probability(u, v, 1, -1, 1) + exact_pattern_probability(
+                u, v, -1, 1, -1
+            )
+            for mode in (Mode.PAPER, Mode.NAIVE):
+                smaller = min(exact_wigner_margin(u, v, mode), exact_wigner_margin(v, u, mode))
+                assert exact_bell_margin(u, v, mode) == 4 * smaller, mode
+            assert exact_wigner_margin(u, v, Mode.NAIVE) >= abs(cu) * (abs(cu) - 1) / 2
+
+
+def test_margins_are_the_exact_rational_forms_in_floats():
+    # the floats the kernels compute at a = 0, b = 2 atan(t), b' = 2 atan(t') (OPTICAL)
+    for t in HALF_TANGENTS:
+        for tp in HALF_TANGENTS:
+            cfg = AngleConfig(0.0, 2 * math.atan(t), 2 * math.atan(tp), OPTICAL)
+            u, v = circle_point(t), circle_point(tp)
+            for mode in (Mode.PAPER, Mode.NAIVE):
+                wigner = exact_wigner_margin(u, v, mode)
+                assert abs(wigner_margin(cfg, mode).margin - wigner) <= 1e-14
+                assert abs(bell_margin(cfg, mode).margin - exact_bell_margin(u, v, mode)) <= 1e-14

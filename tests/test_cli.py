@@ -218,6 +218,25 @@ def test_simulate_bad_seed_leaves_out_untouched(capsys, tmp_path):
     assert not absent.exists()
 
 
+@pytest.mark.parametrize("command", ["analytic", "simulate", "convergence"])
+@pytest.mark.parametrize("angles", ["-1e308,1e308,0", "0,1.7e308,0"])
+def test_angles_whose_difference_overflows_exit_two(capsys, tmp_path, command, angles):
+    # each angle is finite, but b - a (or twice it, in the OPTICAL trig
+    # argument) is not; the config is refused before --out is opened, so an
+    # existing file is left as it was
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(b"a,b,bp\n+1,-1,+1\n-1,+1,+1\n")
+    before = existing.read_bytes()
+    out_args = [] if command == "analytic" else ["--out", str(existing)]
+    rc, out, err = run(
+        capsys, command, f"--angles={angles}", "--convention", "optical", *out_args
+    )
+    assert rc == 2
+    assert out == ""
+    assert "angles b and a must differ by less than 2**1023" in err
+    assert existing.read_bytes() == before
+
+
 def test_analytic_paper_witness(capsys):
     rc, out, _ = run(capsys, "analytic", "--angles", WITNESS, "--mode", "paper")
     payload = json.loads(out)

@@ -123,6 +123,23 @@ def test_angle_config_requires_finite_angles():
         AngleConfig(math.inf, 0.0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "angles, pair",
+    [
+        ((-1e308, 1e308, 0.0), "b and a"),
+        ((-5e307, 0.0, 5e307), "bp and a"),
+        ((0.0, 5e307, -5e307), "b and bp"),
+        ((0.0, 2.0**1023, 0.0), "b and a"),
+    ],
+)
+def test_angle_config_rejects_differences_that_overflow(angles, pair):
+    # each angle is finite, but the kernels take the cosine of twice a difference
+    with pytest.raises(ValueError, match=rf"angles {pair} must differ by less than 2\*\*1023"):
+        AngleConfig(*angles)
+    widest = math.nextafter(2.0**1023, 0.0)
+    assert AngleConfig(0.0, widest, 0.0).b == widest
+
+
 def test_angle_config_requires_convention_instance():
     with pytest.raises(ValueError, match="AngleConvention"):
         AngleConfig(0.0, 0.0, 0.0, convention="spin")

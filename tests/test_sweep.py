@@ -22,7 +22,12 @@ from bellwigner import (
     write_records_csv,
 )
 from bellwigner import sweep
-from bellwigner.analytic import bell_margin_parts, half_angle_factor, wigner_margin_parts
+from bellwigner.analytic import (
+    _margin_steps,
+    bell_margin_parts,
+    half_angle_factor,
+    wigner_margin_parts,
+)
 from bellwigner.sweep import SWEEP_CSV_COLUMNS, _float_text, _grid_floats, _record_rows
 
 SPIN = AngleConvention.SPIN
@@ -39,9 +44,11 @@ def test_grid_angles_half_open_uniform():
 
 
 def test_record_path_angles_are_grid_angles():
-    # the record path builds its angles without numpy, bit for bit
+    # the one grid, built without numpy, is numpy's i * (2pi / R) bit for bit
     for resolution in range(2, 2001):
-        assert grid_angles(resolution).tolist() == list(_grid_floats(resolution)), resolution
+        expected = np.arange(resolution) * (2.0 * np.pi / resolution)
+        assert grid_angles(resolution).tobytes() == expected.tobytes(), resolution
+        assert list(_grid_floats(resolution)) == expected.tolist(), resolution
     with pytest.raises(ValueError):
         _grid_floats(1)
 
@@ -175,7 +182,7 @@ def test_no_point_off_the_candidates_beats_the_minimum_at_large_resolution(conve
 
 
 def assert_record_rows_match_whole_plane(resolution, convention, kind, mode):
-    rows = _record_rows(resolution, convention, kind, mode)
+    _, rows = _record_rows(resolution, convention, kind, mode)
     for ia in range(resolution):
         lhs, rhs = whole_plane(ia, resolution, convention, kind, mode)
         plane = list(islice(rows, resolution))
@@ -218,15 +225,21 @@ def test_paper_bell_candidates_hold_both_exact_zero_lines(monkeypatch, conventio
     # and on column 0. A kernel that lowers one of those points must see it
     # found; row 0 is a candidate only as the transpose of column 0
     angles = grid_angles(12).tolist()
-    kernel = bell_margin_parts
     for ib, ibp in [(0, j) for j in range(12)] + [(i, 0) for i in range(12)]:
-        def lowered(kind, at=(angles[ib], angles[ibp])):
-            def parts(a, b, bp, k, mode):
-                lhs, rhs = kernel(a, b, bp, k, mode)
-                return (lhs + 1.0 if (b, bp) == at else lhs), rhs
-            return parts
+        def lowered(kind, mode, at=(angles[ib], angles[ibp])):
+            # each term carries its setting difference, which is b or bp at a = 0
+            term, third, sides = _margin_steps(kind, mode)
 
-        monkeypatch.setattr(sweep, "_margin_parts", lowered)
+            def tagged(trig, k, d):
+                return d, term(trig, k, d)
+
+            def lowered_sides(term_b, term_bp, third_bbp):
+                lhs, rhs = sides(term_b[1], term_bp[1], third_bbp)
+                return (lhs + 1.0 if (term_b[0], term_bp[0]) == at else lhs), rhs
+
+            return tagged, third, lowered_sides
+
+        monkeypatch.setattr(sweep, "_margin_steps", lowered)
         result = grid_sweep(12, convention, BELL, Mode.PAPER)
         assert (result.argmin.b, result.argmin.bp) == (angles[ib], angles[ibp])
         assert abs(result.min_margin + 1.0) < 1e-12
@@ -254,7 +267,8 @@ def test_record_rows_start_in_o_r_memory():
     # the first rows of an R=3000 stream come from O(R) terms, not a
     # 9*10^6-point plane
     def first_rows():
-        return list(islice(_record_rows(3000, SPIN, BELL, Mode.NAIVE), 4))
+        _, rows = _record_rows(3000, SPIN, BELL, Mode.NAIVE)
+        return list(islice(rows, 4))
 
     first_rows()  # warm-up
     peak = _peak_bytes(first_rows)
@@ -316,7 +330,8 @@ def reference_records_csv(out, resolution, convention, kind, mode):
     out.write(",".join(SWEEP_CSV_COLUMNS) + "\n")
     angles = [repr(x) for x in grid_angles(resolution).tolist()]
     names = f"{kind.name},{mode.name}"
-    for ia, ib, row in _record_rows(resolution, convention, kind, mode):
+    _, rows = _record_rows(resolution, convention, kind, mode)
+    for ia, ib, row in rows:
         pre = f"{angles[ia]},{angles[ib]},"
         out.write("".join([
             f"{pre}{bp},{names},{left!r},{right!r},{right - left!r}\n"
@@ -465,10 +480,10 @@ def test_interval_count_matches_integer_sign_rule():
 
 
 def test_census_evaluates_no_margin(monkeypatch):
-    def no_kernel(kind):
+    def no_kernel(kind, mode):
         raise AssertionError("violation_census evaluated a margin")
 
-    monkeypatch.setattr(sweep, "_margin_parts", no_kernel)
+    monkeypatch.setattr(sweep, "_margin_steps", no_kernel)
     assert violation_census(10**5, SPIN)[(WIGNER, Mode.NAIVE)] == 10**5 * 49_999 * 49_998
 
 
@@ -478,13 +493,11 @@ def test_sweep_count_does_not_depend_on_the_kernel(monkeypatch):
         for kind in (BELL, WIGNER) for mode in (Mode.PAPER, Mode.NAIVE)
     }
 
-    def always_violated(kind):
-        def parts(a, b, bp, k, mode):
-            shape = np.broadcast(b, bp).shape
-            return np.ones(shape), np.zeros(shape)
-        return parts
+    def always_violated(kind, mode):
+        term, third, _ = _margin_steps(kind, mode)
+        return term, third, lambda term_b, term_bp, third_bbp: (1.0, 0.0)
 
-    monkeypatch.setattr(sweep, "_margin_parts", always_violated)
+    monkeypatch.setattr(sweep, "_margin_steps", always_violated)
     for (kind, mode), violations in expected.items():
         result = grid_sweep(24, OPTICAL, kind, mode)
         assert result.min_margin == -1.0
