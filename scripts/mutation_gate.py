@@ -30,6 +30,7 @@ ROOT = Path(__file__).resolve().parent.parent
 SWEEP = "src/bellwigner/sweep.py"
 ANALYTIC = "src/bellwigner/analytic.py"
 DATAFILE = "src/bellwigner/datafile.py"
+DATA_INEQUALITY = "src/bellwigner/data_inequality.py"
 CORE = "src/bellwigner/core.py"
 SAMPLER = "src/bellwigner/sampler.py"
 CLI = "src/bellwigner/cli.py"
@@ -85,6 +86,14 @@ MUTANTS = (
         "third(math, k, (b - a) - (bp - a)) for bp in angles",
         "tests/test_sweep.py",
     ),
+    # the record writer's text cache: 0.0 == -0.0, so zeros stay out of it
+    Mutant(
+        "_float_text caches zeros",
+        SWEEP,
+        "        if x:\n            if len(cache) >= limit:",
+        "        if True:\n            if len(cache) >= limit:",
+        "tests/test_sweep.py",
+    ),
     # the one kind-and-mode table that the census minimum and the streams share
     Mutant(
         "Wigner third step as the Bell term",
@@ -124,6 +133,30 @@ MUTANTS = (
         "        and chunk[1::3] == b\"1\" * (rows * width)\n",
         "",
         "tests/test_datafile.py",
+    ),
+    # the one sign-pattern fold of PatternCounts and check-data
+    Mutant(
+        "fold bit-plane sides swapped",
+        DATA_INEQUALITY,
+        "sides = (minus, minus ^ mask)",
+        "sides = (minus ^ mask, minus)",
+        "tests/test_data_inequality.py",
+    ),
+    # an exact margin of 0 is satisfied: the identity's equality cases
+    Mutant(
+        "_exact_report satisfied on > 0",
+        DATA_INEQUALITY,
+        "satisfied=margin_scaled >= 0,",
+        "satisfied=margin_scaled > 0,",
+        "tests/test_data_inequality.py",
+    ),
+    # the checked angle differences: the kernels take sin and cos of twice one
+    Mutant(
+        "angle difference checked, not twice it",
+        CORE,
+        "if not math.isfinite(2.0 * d):",
+        "if not math.isfinite(d):",
+        "tests/test_core.py",
     ),
     # the value types: equality within one class, no assignment
     Mutant(
@@ -183,6 +216,21 @@ MUTANTS = (
         SAMPLER,
         "_leave_at(bg, state, width * n)",
         "_leave_at(bg, state, n)",
+        "tests/test_sampler.py",
+    ),
+    # the raw limits: random() < p exactly when raw < ceil(p * 2**53) << 11
+    Mutant(
+        "_raw_limit with floor for ceil",
+        SAMPLER,
+        "limit = math.ceil(p * 2**53) << 11",
+        "limit = math.floor(p * 2**53) << 11",
+        "tests/test_sampler.py",
+    ),
+    Mutant(
+        "_leave_at drops the pending 32-bit half",
+        SAMPLER,
+        '    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])\n',
+        "",
         "tests/test_sampler.py",
     ),
     # the sampling model: P(+1 | a = -1) is cos^2, P(+1 | a = +1) sin^2

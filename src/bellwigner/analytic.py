@@ -45,6 +45,7 @@ from .core import (
     InequalityReport,
     JointProbabilities,
     Mode,
+    _angle_difference,
 )
 
 
@@ -86,7 +87,8 @@ def joint_probability(
     x: float, y: float, convention: AngleConvention = AngleConvention.SPIN
 ) -> JointProbabilities:
     """Four-cell outcome distribution of an entangled pair at settings (x, y)."""
-    s2, c2 = (float(p) for p in sin2_cos2(half_angle_factor(convention), y - x))
+    d = _angle_difference(y, x, "y and x")
+    s2, c2 = _sin2_cos2(math, half_angle_factor(convention), d)
     return JointProbabilities(pp=0.5 * s2, pm=0.5 * c2, mp=0.5 * c2, mm=0.5 * s2)
 
 
@@ -95,7 +97,7 @@ def bell_correlation(
 ) -> float:
     """Entangled-pair correlation -cos(2k(y - x)); equals 4 P++ - 1."""
     k = half_angle_factor(convention)
-    return float(-_trig(x, y).cos(2.0 * k * (y - x)))
+    return -math.cos(2.0 * k * _angle_difference(y, x, "y and x"))
 
 
 class ThirdPairProbabilities(NamedTuple):

@@ -233,6 +233,17 @@ class InequalityKind(Enum):
     WIGNER = "wigner"
 
 
+def _angle_difference(later: float, earlier: float, names: str) -> float:
+    """later - earlier, refused unless twice it is finite; `names` names the pair.
+
+    The kernels take sin and cos of up to twice a setting difference.
+    """
+    d = float(later) - float(earlier)
+    if not math.isfinite(2.0 * d):
+        raise ValueError(f"angles {names} must differ by less than 2**1023, got {d!r}")
+    return d
+
+
 @_value_type
 class AngleConfig:
     """Three detector settings in radians plus the angle convention."""
@@ -248,11 +259,8 @@ class AngleConfig:
             if not math.isfinite(value):
                 raise ValueError(f"angle {name} must be finite, got {value!r}")
             object.__setattr__(self, name, value)
-        # the kernels take sin and cos of up to twice these differences
         for x, y in (("b", "a"), ("bp", "a"), ("b", "bp")):
-            d = getattr(self, x) - getattr(self, y)
-            if not math.isfinite(2.0 * d):
-                raise ValueError(f"angles {x} and {y} must differ by less than 2**1023, got {d!r}")
+            _angle_difference(getattr(self, x), getattr(self, y), f"{x} and {y}")
         if not isinstance(self.convention, AngleConvention):
             raise ValueError(f"not an AngleConvention: {self.convention!r}")
 

@@ -17,15 +17,17 @@ sum is a dot product of the counts with a fixed coefficient vector. Both
 linear halves of the three-set margin, (N - sum bb') -+ (sum ab - sum ab'),
 have coefficient 1 - bb' -+ a(b - b') in {0, 4} on every pattern, and the
 four-set halves 2 -+ bracket do too; so with counts >= 0 the margin is
->= 0 at every N. Counts are Python ints, so no sum overflows. numpy is
-imported only by the functions that take arrays of outcomes.
+>= 0 at every N. Counts are Python ints, so no sum overflows. One fold,
+on bit planes held as Python ints (`_PatternFold`), counts the int8 cells
+for `PatternCounts.of`, `from_columns` and `datafile.read_pattern_counts`
+alike, so this module imports no numpy.
 """
 
 from __future__ import annotations
 
 import itertools
 import operator
-from typing import TYPE_CHECKING, Sequence
+from typing import Sequence
 
 from .core import (
     DataSetQuad,
@@ -38,9 +40,6 @@ from .core import (
     _value_type,
     outcome_array,
 )
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 def _exact_report(
@@ -60,20 +59,44 @@ def _exact_report(
     )
 
 
-# Trials are coded in slices of this many rows, so counting a data set of
-# any length holds only a slice's temporaries.
+# Columns are folded in slices of this many rows, so counting a data set of
+# any length holds only a slice's bit planes.
 _COUNT_ROWS = 1 << 16
 
 
-def _pattern_codes(columns: Sequence[np.ndarray]) -> np.ndarray:
-    """Each trial's sign pattern: one bit per +-1 column, OR-ed in header order."""
-    import numpy as np
-
-    code = (columns[0] > 0).view(np.uint8)
+def _pattern_codes(columns: Sequence):
+    """Each trial's sign pattern, uint8: one bit per +-1 column, OR-ed in header order."""
+    code = (columns[0] > 0).view("u1")
     for column in columns[1:]:
         code <<= 1
         code |= column > 0
     return code
+
+
+class _PatternFold:
+    """A sink that keeps only the pattern counts, as Python ints, of the int8 cells it is given."""
+
+    def __init__(self, width: int):
+        self.width = width
+        self.counts = [0] * (1 << width)
+
+    def frombytes(self, cells) -> None:
+        """Fold int8 cells given row after row, `width` to a row."""
+        w = self.width
+        self.fromcolumns([cells[j::w] for j in range(w)])
+
+    def fromcolumns(self, columns: Sequence[bytes]) -> None:
+        """Fold aligned columns of int8 cells, each given as bytes, in header order."""
+        mask = int.from_bytes(b"\x01" * len(columns[0]), "little")
+        # bit planes with bit 8i set where row i shows the pattern so far, in
+        # pattern order: a -1 cell is 0xFF, whose bit 1 a +1 (0x01) lacks
+        planes = [mask]
+        for column in columns:
+            minus = (int.from_bytes(column, "little") >> 1) & mask
+            sides = (minus, minus ^ mask)
+            planes = [p & side for p in planes for side in sides]
+        for code, plane in enumerate(planes):
+            self.counts[code] += plane.bit_count()
 
 
 @_value_type
@@ -117,14 +140,11 @@ class PatternCounts:
     @classmethod
     def _fold(cls, columns: Sequence, as_outcomes) -> PatternCounts:
         # as_outcomes turns each slice of an equal-length column into int8 +-1
-        import numpy as np
-
-        counts = np.zeros(1 << len(columns), dtype=np.int64)
+        fold = _PatternFold(len(columns))
         for lo in range(0, len(columns[0]), _COUNT_ROWS):
             s = slice(lo, lo + _COUNT_ROWS)
-            codes = _pattern_codes([as_outcomes(c[s]) for c in columns])
-            counts += np.bincount(codes, minlength=counts.size)
-        return cls(counts)
+            fold.fromcolumns([as_outcomes(c[s]).tobytes() for c in columns])
+        return cls(fold.counts)
 
     @property
     def width(self) -> int:

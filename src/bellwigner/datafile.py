@@ -4,10 +4,10 @@ Cells are +1, 1 or -1. The reader parses the common spelling of such files
 from their bytes, a chunk at a time, with the standard library only, and
 hands any other spelling to the csv module, whose verdicts and line numbers
 are the reference. One parser feeds two sinks: `read_outcome_csv` keeps
-every cell as an int8 column, while `read_pattern_counts` folds each parsed
-chunk into sign-pattern counts and keeps no cells, so its memory is bounded
-by the chunk at any file size. Only the array readers and writers load
-numpy; `read_pattern_counts` does not.
+every cell as an int8 column, while `read_pattern_counts` hands each parsed
+chunk to the bit-plane fold that `PatternCounts` counts with and keeps no
+cells, so its memory is bounded by the chunk at any file size. Only the
+array readers and writers load numpy; `read_pattern_counts` does not.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ import re
 from array import array
 
 from .core import DataSetQuad, DataSetTriple, EmptyDataError
-from .data_inequality import PatternCounts, _pattern_codes, sign_patterns
+from .data_inequality import PatternCounts, _pattern_codes, _PatternFold, sign_patterns
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -189,27 +189,6 @@ def _read_body(fh, width: int, cells) -> None:
                 text.detach()  # the caller's file stays open
             return
         cells.frombytes(values)
-
-
-class _PatternFold:
-    """A sink that keeps only the pattern counts of the int8 cells it is given."""
-
-    def __init__(self, width: int):
-        self.width = width
-        self.counts = [0] * (1 << width)
-
-    def frombytes(self, cells) -> None:
-        w = self.width
-        mask = int.from_bytes(b"\x01" * (len(cells) // w), "little")
-        # bit planes with bit 8i set where row i shows the pattern so far, in
-        # pattern order: a -1 cell is 0xFF, whose bit 1 a +1 (0x01) lacks
-        planes = [mask]
-        for j in range(w):
-            minus = (int.from_bytes(cells[j::w], "little") >> 1) & mask
-            sides = (minus, minus ^ mask)
-            planes = [p & side for p in planes for side in sides]
-        for code, plane in enumerate(planes):
-            self.counts[code] += plane.bit_count()
 
 
 def _read(path: str, new_sink):

@@ -31,6 +31,16 @@ def blas_is_openblas() -> bool:
     return "openblas" in str(blas.get("name", "")).lower()
 
 
+def bincount_reference(columns) -> list[int]:
+    """Pattern counts of aligned +-1 columns by the numpy fold the bit planes replaced."""
+    import numpy as np
+
+    codes = np.zeros(len(columns[0]), dtype=np.int64)
+    for column in columns:
+        codes = codes << 1 | (np.asarray(column) > 0)
+    return np.bincount(codes, minlength=1 << len(columns)).tolist()
+
+
 @pytest.fixture
 def python():
     """Run code in a fresh interpreter that imports the package from src/; return its stdout.

@@ -1,4 +1,5 @@
 import math
+import operator
 from fractions import Fraction
 
 import numpy as np
@@ -83,6 +84,21 @@ def test_bell_correlation_equals_probability_combinations(x, y, convention):
     assert c == pytest.approx(4 * jp.pp - 1, abs=TOLERANCE)
     assert c == pytest.approx(2 * jp.pp - 2 * jp.pm, abs=TOLERANCE)
     assert c == pytest.approx(jp.correlation, abs=TOLERANCE)
+
+
+@pytest.mark.parametrize("function", [joint_probability, bell_correlation])
+@pytest.mark.parametrize(
+    "x, y, convention",
+    [(-1e308, 1e308, SPIN), (1e308, -1e308, OPTICAL), (0.0, 2.0**1023, OPTICAL)],
+    ids=["spin", "optical", "optical-twice-overflows"],
+)
+def test_settings_whose_difference_overflows_are_refused(function, x, y, convention):
+    # the functions take raw floats: y - x, or twice it, is not finite, and
+    # the error names the pair as AngleConfig's does
+    with pytest.raises(ValueError, match=r"angles y and x must differ by less than 2\*\*1023"):
+        function(x, y, convention)
+    widest = math.nextafter(2.0**1023, 0.0)
+    assert function(0.0, widest, convention) == function(widest, 0.0, convention)
 
 
 def test_third_pair_frozen_values():
@@ -386,3 +402,29 @@ def test_margins_are_the_exact_rational_forms_in_floats():
                 wigner = exact_wigner_margin(u, v, mode)
                 assert abs(wigner_margin(cfg, mode).margin - wigner) <= 1e-14
                 assert abs(bell_margin(cfg, mode).margin - exact_bell_margin(u, v, mode)) <= 1e-14
+
+
+def test_paper_bell_halves_are_the_data_identity_on_q_exactly():
+    # the paper's claim in one line: each PAPER Bell half, (1 - C3) -+ (C(a,b)
+    # - C(a,b')), is the data identity's sum(coef_p * count_p) with the model's
+    # q in place of the counts, and every coef_p, from the data layer's own
+    # table, is 0 or 4; in Fractions, with no tolerance
+    ab, abp, bbp = _TRIPLE_PRODUCTS
+    halves = {
+        sign: [(1 - x3) - sign * (x1 - x2) for x1, x2, x3 in zip(ab, abp, bbp)] for sign in (1, -1)
+    }
+    assert all(coef in (0, 4) for coefs in halves.values() for coef in coefs)
+    points = [circle_point(t) for t in HALF_TANGENTS]
+    for u in points:
+        cu, su = u
+        for v in points:
+            cv, sv = v
+            q = [exact_pattern_probability(u, v, *pattern) for pattern in sign_patterns(3)]
+            assert sum(q) == 1
+            c_ab, c_abp = su * su - cu * cu, sv * sv - cv * cv
+            rhs = 1 - c_ab * c_abp
+            for sign, coefs in halves.items():
+                assert rhs - sign * (c_ab - c_abp) == sum(map(operator.mul, coefs, q)), sign
+            assert exact_bell_margin(u, v, Mode.PAPER) == min(
+                sum(map(operator.mul, coefs, q)) for coefs in halves.values()
+            )

@@ -17,8 +17,14 @@ from bellwigner import (
     data_bell_margin_4,
 )
 from bellwigner import data_inequality
-from bellwigner.data_inequality import _QUAD_BRACKETS, _pattern_codes, _triple_sums, sign_patterns
-from conftest import datasets, outcomes, quad_rows, trial_rows
+from bellwigner.data_inequality import (
+    _QUAD_BRACKETS,
+    _PatternFold,
+    _pattern_codes,
+    _triple_sums,
+    sign_patterns,
+)
+from conftest import bincount_reference, datasets, outcomes, quad_rows, trial_rows
 
 ALL_TRIPLES = list(itertools.product((1, -1), repeat=3))
 ALL_QUADS = list(itertools.product((1, -1), repeat=4))
@@ -144,6 +150,54 @@ def test_counts_of_a_data_set_fold_its_checked_columns_as_they_are(d, count_rows
         assert PatternCounts.of(d) == expected
 
 
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("n", [1, 7, (1 << 16) - 1, 1 << 16, (1 << 16) + 1])
+def test_fold_matches_a_numpy_bincount(width, n):
+    # lengths around _COUNT_ROWS: one short slice, one full slice, a full one and one row
+    rng = np.random.default_rng([width, n])
+    columns = rng.integers(0, 2, size=(width, n), dtype=np.int8) * 2 - 1
+    expected = bincount_reference(columns)
+    data = (DataSetTriple if width == 3 else DataSetQuad)(*columns)
+    assert list(PatternCounts.from_columns(columns).counts) == expected
+    assert list(PatternCounts.of(data).counts) == expected
+    fold = _PatternFold(width)
+    fold.frombytes(columns.T.tobytes())  # the row-major cells a file sink is given
+    assert fold.counts == expected
+
+
+# runs the data layer in a child interpreter in which any import of numpy fails
+DATA_LAYER_WITHOUT_NUMPY = """\
+import sys
+sys.modules["numpy"] = None
+from bellwigner.data_inequality import PatternCounts, data_bell_margin_3, data_bell_margin_4
+from bellwigner.datafile import read_pattern_counts
+triples = PatternCounts(range(8)) + PatternCounts([1] * 8)
+print(data_bell_margin_3(triples).margin, data_bell_margin_4(PatternCounts(range(16))).margin)
+for path in sys.argv[1:]:
+    print(*read_pattern_counts(path).counts)
+"""
+
+
+def test_the_data_layer_runs_without_numpy(python, tmp_path):
+    files = {
+        "canonical.csv": "a,b,bp\n+1,-1,+1\n-1,-1,+1\n+1,-1,+1\n",
+        "mixed.csv": "a,b,bp\r\n1, -1,+1\r\n-1 ,-1,1\r\n",
+        "quoted.csv": 'a,"b",bp\n"+1",-1, 1\n',
+        "quads.csv": "a,ap,b,bp\n+1,-1,+1,1\n-1,-1,-1,-1\n",
+    }
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    out = python(DATA_LAYER_WITHOUT_NUMPY, *files, cwd=tmp_path).splitlines()
+    triples = PatternCounts(range(8)) + PatternCounts([1] * 8)
+    assert out[0].split() == [
+        repr(data_bell_margin_3(triples).margin),
+        repr(data_bell_margin_4(PatternCounts(range(16))).margin),
+    ]
+    expected = [[0, 1, 0, 0, 0, 2, 0, 0], [0, 1, 0, 0, 0, 1, 0, 0], [0] * 5 + [1, 0, 0]]
+    expected.append([1] + [0] * 10 + [1] + [0] * 4)
+    assert [list(map(int, line.split())) for line in out[1:]] == expected
+
+
 @pytest.mark.parametrize("rows", [ALL_TRIPLES, ALL_QUADS], ids=["triple", "quad"])
 def test_pattern_codes_put_the_first_column_in_the_highest_bit(rows):
     width = len(rows[0])
@@ -228,11 +282,15 @@ def test_counts_from_columns_reject_unequal_lengths_and_non_outcomes():
     a, b, bp = np.array([1, -1, 1, 1]), np.array([1, 1, -1, 1]), np.array([-1, -1, 1, 1])
     with pytest.raises(LengthMismatchError):
         PatternCounts.from_columns([a, np.array([1]), bp])
-    for bad in (0, 2):
+    for bad in (0, 2, "1"):
         with pytest.raises(ValueError, match="only \\+1/-1 allowed"):
             PatternCounts.from_columns([a, np.array([1, 1, bad, 1]), bp])
     assert list(PatternCounts.from_columns([a, b, bp]).counts) == [0, 0, 1, 0, 0, 1, 1, 1]
     assert PatternCounts.from_columns([a.tolist(), b.tolist(), bp.tolist()]).n == 4
+    # True and 1.0 are +1, as outcome_array reads them
+    ones = PatternCounts.from_columns([[True] * 4, b.astype(float), bp])
+    assert ones == PatternCounts.from_columns([[1] * 4, b, bp])
+    assert list(ones.counts) == [0] * 5 + [1, 2, 1]
 
 
 def test_margin_4_hand_examples():

@@ -31,7 +31,7 @@ from bellwigner.datafile import (
     read_pattern_counts,
     write_triples_csv,
 )
-from conftest import trial_rows
+from conftest import bincount_reference, trial_rows
 
 HEADERS = {("a", "b", "bp"): DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
 
@@ -144,6 +144,35 @@ def test_pattern_counts_match_counts_of_columns(data_path, content, chunk_bytes,
     expected = counts_outcome(lambda p: PatternCounts.of(read_outcome_csv(p)), data_path)
     with mock.patch.multiple(datafile, _CHUNK_BYTES=chunk_bytes, _CSV_BLOCK_CELLS=block_cells):
         assert counts_outcome(read_pattern_counts, data_path) == expected
+
+
+# the spellings of +1 and -1 a file may use; canonical files use the first
+CELL_TEXTS = {1: ("+1", "1", " 1", "+1 ", "\t1"), -1: ("-1", " -1", "-1\t")}
+
+
+@pytest.mark.parametrize("width", [3, 4])
+@pytest.mark.parametrize("spelling", ["canonical", "mixed", "csv-fallback"])
+def test_counts_of_columns_data_set_and_file_agree(tmp_path, width, spelling):
+    # from_columns, of and read_pattern_counts all fold with the same bit
+    # planes; a numpy bincount is the reference. 20,000 rows span
+    # several chunks of the fast path and several blocks of the csv loop.
+    rng = np.random.default_rng([width, len(spelling)])
+    columns = rng.integers(0, 2, size=(width, 20_000), dtype=np.int8) * 2 - 1
+    header = ["a", "b", "bp"] if width == 3 else ["a", "ap", "b", "bp"]
+    if spelling == "csv-fallback":
+        header[1] = f'"{header[1]}"'  # a quoted header hands the whole file to csv
+    picks = rng.integers(0, 6, size=columns.shape) if spelling != "canonical" else 0 * columns
+    lines = [",".join(header)] + [
+        ",".join(CELL_TEXTS[v][p % len(CELL_TEXTS[v])] for v, p in zip(row, pick))
+        for row, pick in zip(columns.T.tolist(), picks.T.tolist())
+    ]
+    path = tmp_path / "data.csv"
+    path.write_text("\n".join(lines) + "\n")
+    expected = PatternCounts(bincount_reference(columns))
+    data = HEADERS[tuple(h.strip('"') for h in header)](*columns)
+    assert PatternCounts.from_columns(columns) == expected
+    assert PatternCounts.of(data) == expected
+    assert read_pattern_counts(str(path)) == expected
 
 
 _MIXED_ROWS = np.array(
