@@ -173,13 +173,23 @@ MUTANTS = (
         "",
         "tests/test_core.py",
     ),
-    # analytic's plain-float model: its own list of the 8 sign patterns
+    # the one list of sign patterns, which analytic's plain-float model uses too;
+    # q is symmetric under flipping every sign, so reversing the list is no mutant
     Mutant(
-        "pattern_probabilities patterns in another order",
-        ANALYTIC,
-        "(-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),",
-        "(-1, -1, -1), (-1, 1, -1), (-1, -1, 1), (-1, 1, 1),",
+        "sign_patterns with the columns reversed",
+        CORE,
+        "return list(itertools.product((-1, 1), repeat=width))",
+        "return [p[::-1] for p in itertools.product((-1, 1), repeat=width)]",
         "tests/test_analytic.py",
+    ),
+    # PatternCounts.from_columns refuses other column counts before it folds
+    Mutant(
+        "from_columns column-count check dropped",
+        DATA_INEQUALITY,
+        "        if len(columns) not in (3, 4):\n"
+        "            raise ValueError(f\"expected 3 or 4 columns, got {len(columns)}\")\n",
+        "",
+        "tests/test_data_inequality.py",
     ),
     # the sampler's conditional column: both compares, then a picks one per trial
     Mutant(
@@ -231,6 +241,14 @@ MUTANTS = (
         SAMPLER,
         '    end.update(has_uint32=state["has_uint32"], uinteger=state["uinteger"])\n',
         "",
+        "tests/test_sampler.py",
+    ),
+    # the one reduction of sampled slices: simulate and convergence report its sums
+    Mutant(
+        "stream_dataset third pair (a, bp)",
+        SAMPLER,
+        "((a, b), (a, bp), (b, bp))",
+        "((a, b), (a, bp), (a, bp))",
         "tests/test_sampler.py",
     ),
     # the sampling model: P(+1 | a = -1) is cos^2, P(+1 | a = +1) sin^2

@@ -46,6 +46,7 @@ from .core import (
     JointProbabilities,
     Mode,
     _angle_difference,
+    sign_patterns,
 )
 
 
@@ -105,14 +106,6 @@ class ThirdPairProbabilities(NamedTuple):
     ppm: float
 
 
-# The +-1 outcomes of (a, b, b') in PatternCounts order, as
-# data_inequality.sign_patterns(3) lists them.
-_TRIPLE_PATTERNS = (
-    (-1, -1, -1), (-1, -1, 1), (-1, 1, -1), (-1, 1, 1),
-    (1, -1, -1), (1, -1, 1), (1, 1, -1), (1, 1, 1),
-)
-
-
 def pattern_probabilities(a, b, bp, k: float):
     """The model's probability q of each sign pattern of (a, b, b'); broadcasts over arrays.
 
@@ -126,7 +119,7 @@ def pattern_probabilities(a, b, bp, k: float):
     s2bp, c2bp = _sin2_cos2(trig, k, bp - a)
     q = [
         0.5 * (s2b if sb == sa else c2b) * (s2bp if sbp == sa else c2bp)
-        for sa, sb, sbp in _TRIPLE_PATTERNS
+        for sa, sb, sbp in sign_patterns(3)
     ]
     return q if trig is math else trig.array(q)
 

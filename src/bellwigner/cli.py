@@ -70,7 +70,7 @@ def cmd_check_data(args) -> int:
 
 def cmd_simulate(args) -> int:
     from .analytic import bell_correlation, third_correlation
-    from .data_inequality import _triple_sums, data_bell_margin_3
+    from .data_inequality import _margin_3_from_sums
     from .datafile import TriplesWriter
     from .sampler import make_rng, stream_dataset
 
@@ -81,11 +81,9 @@ def cmd_simulate(args) -> int:
     rng = make_rng(args.seed)
     # each slice is written as soon as it is drawn, so --n costs time and disk, not memory
     with open(args.out, "wb") as fh:
-        rows = TriplesWriter(fh)
-        stream_dataset(cfg, args.n, rng, rows.write)
-    counts = rows.counts
-    report = data_bell_margin_3(counts)
-    c_ab, c_abp, c_bbp = (s / args.n for s in _triple_sums(counts))
+        sums = stream_dataset(cfg, args.n, rng, TriplesWriter(fh).write)
+    report = _margin_3_from_sums(*sums, args.n)
+    c_ab, c_abp, c_bbp = (s / args.n for s in sums)
     summary = {
         "command": "simulate",
         "n": args.n,

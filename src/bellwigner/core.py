@@ -18,6 +18,7 @@ launch of the commands that load no numpy.
 
 from __future__ import annotations
 
+import itertools
 import math
 from enum import Enum
 from typing import TYPE_CHECKING, Sequence
@@ -130,6 +131,11 @@ def outcome_array(values) -> np.ndarray:
         bad = arr[~valid][0]
         raise ValueError(f"outcome sequence contains value {bad!r}, only +1/-1 allowed")
     return arr.astype(np.int8, copy=False)
+
+
+def sign_patterns(width: int) -> list[tuple[int, ...]]:
+    """The +-1 outcomes of each sign pattern, in header order, indexed as in PatternCounts."""
+    return list(itertools.product((-1, 1), repeat=width))
 
 
 @_value_type

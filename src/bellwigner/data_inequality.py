@@ -25,7 +25,6 @@ alike, so this module imports no numpy.
 
 from __future__ import annotations
 
-import itertools
 import operator
 from typing import Sequence
 
@@ -39,6 +38,7 @@ from .core import (
     Mode,
     _value_type,
     outcome_array,
+    sign_patterns,
 )
 
 
@@ -124,9 +124,11 @@ class PatternCounts:
     def from_columns(cls, columns: Sequence) -> PatternCounts:
         """Counts of aligned +-1 columns in header order.
 
-        Raises LengthMismatchError if the columns differ in length and
-        ValueError if any value is not +1 or -1.
+        Raises ValueError if there are not 3 or 4 columns or any value is
+        not +1 or -1, and LengthMismatchError if the columns differ in length.
         """
+        if len(columns) not in (3, 4):
+            raise ValueError(f"expected 3 or 4 columns, got {len(columns)}")
         lengths = tuple(len(c) for c in columns)
         if len(set(lengths)) != 1:
             raise LengthMismatchError(f"columns must have equal length, got {lengths}")
@@ -160,11 +162,6 @@ class PatternCounts:
         if other.width != self.width:
             raise ValueError(f"cannot add counts of widths {self.width} and {other.width}")
         return PatternCounts(map(sum, zip(self.counts, other.counts)))
-
-
-def sign_patterns(width: int) -> list[tuple[int, ...]]:
-    """The +-1 outcomes of each pattern, in header order, indexed as in PatternCounts."""
-    return list(itertools.product((-1, 1), repeat=width))
 
 
 # Rows: each triple pattern's term in sum(ab), sum(ab') and sum(bb').

@@ -17,8 +17,8 @@ import io
 import re
 from array import array
 
-from .core import DataSetQuad, DataSetTriple, EmptyDataError
-from .data_inequality import PatternCounts, _pattern_codes, _PatternFold, sign_patterns
+from .core import DataSetQuad, DataSetTriple, EmptyDataError, sign_patterns
+from .data_inequality import PatternCounts, _pattern_codes, _PatternFold
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -243,17 +243,13 @@ _WRITE_ROWS = 1 << 16
 
 
 class TriplesWriter:
-    """Writes a triples file to the binary file ``fh``: the header, then rows slice by slice.
-
-    ``counts`` holds the pattern counts of the rows written so far.
-    """
+    """Writes a triples file to the binary file ``fh``: the header, then rows slice by slice."""
 
     def __init__(self, fh):
         import numpy as np
 
         fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
         self._fh = fh
-        self._counts = np.zeros(8, dtype=np.int64)
         self._rows = np.array([
             np.frombuffer(f"{a:+d},{b:+d},{bp:+d}\n".encode(), dtype=np.uint8)
             for a, b, bp in sign_patterns(3)
@@ -263,22 +259,17 @@ class TriplesWriter:
         """Write one row per trial of the aligned (a, b, bp) columns, +-1 or bool (True = +1)."""
         import numpy as np
 
-        code = _pattern_codes(columns)
-        self._fh.write(np.take(self._rows, code, axis=0))
-        self._counts += np.bincount(code, minlength=8)
-
-    @property
-    def counts(self) -> PatternCounts:
-        return PatternCounts(self._counts)
+        self._fh.write(np.take(self._rows, _pattern_codes(columns), axis=0))
 
 
 def write_triples_csv(path: str, data: DataSetTriple) -> PatternCounts:
     """Write `data` as a triples file, cells +1/-1, one table row per trial.
 
-    Returns the pattern counts of the rows written.
+    Returns the data set's pattern counts (`PatternCounts.of`), which are
+    those of the rows written.
     """
     with open(path, "wb") as fh:
         rows = TriplesWriter(fh)
         for lo in range(0, data.n, _WRITE_ROWS):
             rows.write([c[lo : lo + _WRITE_ROWS] for c in (data.a, data.b, data.bp)])
-    return rows.counts
+    return PatternCounts.of(data)

@@ -13,12 +13,13 @@ a 64-bit seed, with independent substreams selected by (seed, stream) via
 reproduce identical outputs bit for bit for a fixed numpy version.
 
 One driver, `_sample_slices`, draws every sample in slices of trials and
-hands them to a visitor in trial order. The visitor stores them as int8
-columns (`sample_dataset`, both matched-pairs arms), folds them into the
-exact sums (the convergence study) or writes them out as file rows
-(`stream_dataset`, which the simulate command uses), so only the stored
-columns grow with the sample count. Outputs are bit-identical to drawing
-whole columns for any slice size.
+hands them to a visitor in trial order. Either the visitor stores them as
+int8 columns (`sample_dataset`, both matched-pairs arms), or
+`stream_dataset` folds each slice into the exact pair sums that the data
+inequality needs, after handing it to an optional visitor of its own (the
+simulate command's row writer); the convergence study and simulate both
+report those sums. So only the stored columns grow with the sample count.
+Outputs are bit-identical to drawing whole columns for any slice size.
 """
 
 from __future__ import annotations
@@ -188,31 +189,31 @@ def sample_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator) -> DataSe
     return DataSetTriple(*_sample_columns(n, rng, _conditionals(cfg, cfg.b, cfg.bp)))
 
 
-def stream_dataset(cfg: AngleConfig, n: int, rng: np.random.Generator, visit) -> None:
-    """Draw the trials of ``sample_dataset(cfg, n, rng)`` slice by slice, keeping none.
+def stream_dataset(
+    cfg: AngleConfig, n: int, rng: np.random.Generator, visit=None
+) -> tuple[int, int, int]:
+    """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, drawn slice by slice.
 
-    ``visit(columns)`` is called on each slice in trial order, ``columns``
-    being the slice's bool (a, b, b') rows, True = +1, valid only during the
-    call. Sampling takes Philox generators (`make_rng`) and refuses others;
-    memory stays at one slice of draws at any n.
+    If ``visit`` is given, ``visit(columns)`` is called on each slice in
+    trial order before it is summed, ``columns`` being the slice's bool
+    (a, b, b') rows, True = +1, valid only during the call. Sampling takes
+    Philox generators (`make_rng`) and refuses others; memory stays at one
+    slice of draws at any n.
     """
     if n < 1:
         raise ValueError("n must be >= 1")
-    _sample_slices(n, rng, _conditionals(cfg, cfg.b, cfg.bp), lambda lo, columns: visit(columns))
-
-
-def _sample_sums(cfg: AngleConfig, n: int, rng: np.random.Generator) -> tuple[int, int, int]:
-    """(sum ab, sum ab', sum bb') of ``sample_dataset(cfg, n, rng)``, without its columns."""
     sums = [0, 0, 0]
 
-    def fold(columns: np.ndarray) -> None:
+    def fold(lo: int, columns: np.ndarray) -> None:
+        if visit is not None:
+            visit(columns)
         a, b, bp = columns
         m = a.shape[0]
         for k, (x, y) in enumerate(((a, b), (a, bp), (b, bp))):
             # a product of two +-1 outcomes is +1 where they agree
             sums[k] += 2 * int(np.count_nonzero(x == y)) - m
 
-    stream_dataset(cfg, n, rng, fold)
+    _sample_slices(n, rng, _conditionals(cfg, cfg.b, cfg.bp), fold)
     return tuple(sums)
 
 
@@ -267,7 +268,7 @@ def convergence_study(
     target = third_correlation(cfg)
     records = []
     for stream, n in enumerate(n_list):
-        sab, sabp, sbbp = _sample_sums(cfg, n, make_rng(seed, stream=stream))
+        sab, sabp, sbbp = stream_dataset(cfg, n, make_rng(seed, stream=stream))
         if not _margin_3_from_sums(sab, sabp, sbbp, n).satisfied:
             raise RuntimeError("sampled data set failed the exact data identity")
         estimate = sbbp / n

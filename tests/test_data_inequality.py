@@ -293,6 +293,17 @@ def test_counts_from_columns_reject_unequal_lengths_and_non_outcomes():
     assert list(ones.counts) == [0] * 5 + [1, 2, 1]
 
 
+def test_counts_from_columns_refuse_other_column_counts_before_folding(monkeypatch):
+    # 20 columns would fold 2^20 bit planes before the counts were refused
+    def no_fold(width):
+        raise AssertionError(f"folded {width} columns")
+
+    monkeypatch.setattr(data_inequality, "_PatternFold", no_fold)
+    for columns in ([[1, -1] * 500] * 20, [], [[1, -1]] * 2, [[1]] * 5):
+        with pytest.raises(ValueError, match=f"expected 3 or 4 columns, got {len(columns)}$"):
+            PatternCounts.from_columns(columns)
+
+
 def test_margin_4_hand_examples():
     r = data_bell_margin_4(DataSetQuad.from_trials([(1, 1, 1, 1)]))
     assert (r.lhs, r.rhs, r.margin) == (2.0, 2.0, 0.0)

@@ -455,7 +455,7 @@ def test_writer_matches_csv_writer(tmp_path_factory, rows, slice_rows):
 
 
 def test_written_counts_equal_the_counts_read_back(tmp_path):
-    # the writer's counts come from the codes it wrote, slice by slice
+    # the returned counts are those of the rows written, read back slice by slice
     rng = np.random.default_rng(3)
     data = DataSetTriple(*(rng.integers(0, 2, size=(3, 1000), dtype=np.int8) * 2 - 1))
     path = str(tmp_path / "d.csv")

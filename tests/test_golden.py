@@ -8,12 +8,14 @@ oracles pin as well.
 import hashlib
 import json
 import math
+import struct
 
 import numpy as np
 import pytest
 
 from bellwigner import AngleConfig, make_rng, matched_pairs_estimate
 from bellwigner.cli import main
+from bellwigner.sweep import _grid_floats
 
 MC_CONFIG = AngleConfig(0.0, math.pi / 3, 2 * math.pi / 3)
 
@@ -62,6 +64,65 @@ def test_sweep_census_json_bytes(capsys, kind, mode, digest):
     # argmin of the candidate sweep
     main(["sweep", "--kind", kind, "--mode", mode, "--resolution", "200"])
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def libm_arguments(resolutions):
+    """The floats that the sweep golden cases at these resolutions pass to math.sin and math.cos.
+
+    A record stream takes each term at x - a, and the NAIVE third pair's at
+    b - b', over every pair of grid angles. The census takes the grid angles
+    themselves (x - 0.0 is x) and b - b' of its candidate points, a subset
+    of those differences. The kernels scale a difference d to k d or 2k d,
+    with k = 1/2 (SPIN) or 1 (OPTICAL).
+    """
+    args = set()
+    for resolution in resolutions:
+        angles = _grid_floats(resolution)
+        differences = {x - a for x in angles for a in angles}
+        args.update(f * k * d for f in (1.0, 2.0) for k in (0.5, 1.0) for d in differences)
+    return sorted(args)
+
+
+def test_libm_fingerprint_of_the_sweep_digests():
+    # The record and census digests above take their sines and cosines from
+    # the platform libm (glibc 2.36, x86_64, when they were pinned). The
+    # arguments are IEEE arithmetic and hash alike on every host; the values
+    # are the libm's. So where only the values differ, so will those digests.
+    args = libm_arguments((12, 60, 200))
+    assert hashlib.sha256(struct.pack(f"<{len(args)}d", *args)).hexdigest() == (
+        "4402385ef5cdc444868da1ac962c4d66190d20a49f9b517833baad933deb9539"
+    ), "the sweep's trig arguments changed: the grid or the kernels' scaling differs"
+    values = b"".join(struct.pack("<3d", x, math.sin(x), math.cos(x)) for x in args)
+    assert hashlib.sha256(values).hexdigest() == (
+        "20dfb8eda78025de1a1d7c833863eb0d0c764501762e73a5a9a1e0899ac86d47"
+    ), (
+        "math.sin/math.cos differ from the libm that the sweep record and census "
+        "digests were pinned on, so those digests cannot match on this host"
+    )
+
+
+def test_libm_fingerprint_covers_every_sweep_argument(tmp_path, monkeypatch, capsys):
+    # every kind, mode and convention at R = 12 (the R = 60 streams take the
+    # same steps on a finer grid) and the four R = 200 censuses
+    seen = set()
+    for name in ("sin", "cos"):
+        def call(x, real=getattr(math, name)):
+            seen.add(x)
+            return real(x)
+
+        monkeypatch.setattr(math, name, call)
+    for kind in ("bell", "wigner"):
+        for mode in ("paper", "naive"):
+            for convention in ("spin", "optical"):
+                main(["sweep", "--kind", kind, "--mode", mode, "--convention", convention,
+                      "--resolution", "12", "--out", str(tmp_path / "records.csv")])
+    assert seen and seen <= set(libm_arguments([12]))
+    seen.clear()
+    for kind in ("bell", "wigner"):
+        for mode in ("paper", "naive"):
+            main(["sweep", "--kind", kind, "--mode", mode, "--resolution", "200"])
+    capsys.readouterr()
+    assert seen and seen <= set(libm_arguments([200]))
 
 
 def test_simulate_file_bytes(tmp_path, capsys):

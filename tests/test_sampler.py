@@ -14,7 +14,7 @@ import hypothesis.strategies as st
 from bellwigner import sampler
 from bellwigner.analytic import half_angle_factor, pattern_probabilities
 from bellwigner.data_inequality import PatternCounts, _triple_sums
-from bellwigner.datafile import TriplesWriter
+from bellwigner.datafile import TriplesWriter, read_pattern_counts
 from bellwigner.sampler import stream_dataset
 from bellwigner import (
     AngleConfig,
@@ -86,7 +86,7 @@ def test_sample_dataset_rejects_nonpositive_n():
     with pytest.raises(ValueError):
         sample_dataset(CFG, 0, make_rng(1))
     with pytest.raises(ValueError):
-        sampler._sample_sums(CFG, 0, make_rng(1))
+        stream_dataset(CFG, 0, make_rng(1))
 
 
 def test_sample_dataset_marginals_converge():
@@ -538,8 +538,19 @@ def test_streamed_sums_match_column_reference(n, draw_slice, pre, half, seed, co
     expected = _sums_and_after(_triple_sums(PatternCounts.of(sample_dataset(cfg, n, rng))), rng)
     with mock.patch.object(sampler, "_DRAW_SLICE", draw_slice):
         rng = _prepared(make_rng(seed), pre, half)
-        got = _sums_and_after(sampler._sample_sums(cfg, n, rng), rng)
+        got = _sums_and_after(stream_dataset(cfg, n, rng), rng)
     assert got == expected
+
+
+@pytest.mark.parametrize("n", [1, (1 << 14) - 1, 1 << 14, (1 << 14) + 1, 3 * (1 << 14) + 5])
+def test_streamed_sums_are_those_of_the_rows_written(tmp_path, n):
+    # the sums that simulate reports are folded from the same slices that
+    # its writer turns into rows, and do not depend on the visitor
+    path = tmp_path / "rows.csv"
+    with open(path, "wb") as fh:
+        sums = stream_dataset(CFG, n, make_rng(11), TriplesWriter(fh).write)
+    assert sums == _triple_sums(read_pattern_counts(str(path)))
+    assert sums == stream_dataset(CFG, n, make_rng(11))
 
 
 def test_convergence_memory_does_not_grow_with_n():
