@@ -33,6 +33,7 @@ DATAFILE = "src/bellwigner/datafile.py"
 DATA_INEQUALITY = "src/bellwigner/data_inequality.py"
 CORE = "src/bellwigner/core.py"
 SAMPLER = "src/bellwigner/sampler.py"
+PHILOX = "src/bellwigner/philox.py"
 CLI = "src/bellwigner/cli.py"
 
 
@@ -230,10 +231,10 @@ MUTANTS = (
     ),
     # the raw limits: random() < p exactly when raw < ceil(p * 2**53) << 11
     Mutant(
-        "_raw_limit with floor for ceil",
-        SAMPLER,
-        "limit = math.ceil(p * 2**53) << 11",
-        "limit = math.floor(p * 2**53) << 11",
+        "_draw_limit with floor for ceil",
+        PHILOX,
+        "return math.ceil(p * 2**53) << 11",
+        "return math.floor(p * 2**53) << 11",
         "tests/test_sampler.py",
     ),
     Mutant(
@@ -254,10 +255,32 @@ MUTANTS = (
     # the sampling model: P(+1 | a = -1) is cos^2, P(+1 | a = +1) sin^2
     Mutant(
         "_conditionals without [::-1]",
-        SAMPLER,
+        PHILOX,
         "sin2_cos2(k, s - cfg.a)[::-1]",
         "sin2_cos2(k, s - cfg.a)",
         "tests/test_sampler.py",
+    ),
+    # the standard-library Philox: numpy's key, counter and rounds
+    Mutant(
+        "run entropy not padded to the pool size",
+        PHILOX,
+        "    entropy += [0] * (_POOL_SIZE - len(entropy))\n",
+        "",
+        "tests/test_philox.py",
+    ),
+    Mutant(
+        "first Philox block at counter 0",
+        PHILOX,
+        'array("Q", range(first + 1, first + count + 1))',
+        'array("Q", range(first, first + count))',
+        "tests/test_philox.py",
+    ),
+    Mutant(
+        "one round-key bump skipped",
+        PHILOX,
+        "        if r:\n",
+        "        if r > 1:\n",
+        "tests/test_philox.py",
     ),
     # the CLI run as a program asks OpenBLAS for one thread
     Mutant(

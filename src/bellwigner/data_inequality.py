@@ -64,15 +64,6 @@ def _exact_report(
 _COUNT_ROWS = 1 << 16
 
 
-def _pattern_codes(columns: Sequence):
-    """Each trial's sign pattern, uint8: one bit per +-1 column, OR-ed in header order."""
-    code = (columns[0] > 0).view("u1")
-    for column in columns[1:]:
-        code <<= 1
-        code |= column > 0
-    return code
-
-
 class _PatternFold:
     """A sink that keeps only the pattern counts, as Python ints, of the int8 cells it is given."""
 

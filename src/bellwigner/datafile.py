@@ -6,8 +6,9 @@ hands any other spelling to the csv module, whose verdicts and line numbers
 are the reference. One parser feeds two sinks: `read_outcome_csv` keeps
 every cell as an int8 column, while `read_pattern_counts` hands each parsed
 chunk to the bit-plane fold that `PatternCounts` counts with and keeps no
-cells, so its memory is bounded by the chunk at any file size. Only the
-array readers and writers load numpy; `read_pattern_counts` does not.
+cells, so its memory is bounded by the chunk at any file size. Only
+`read_outcome_csv` loads numpy: the row writer takes bool or int8 numpy
+columns and 0/1 bytes alike, through one byte table.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ import io
 import re
 from array import array
 
-from .core import DataSetQuad, DataSetTriple, EmptyDataError, sign_patterns
-from .data_inequality import PatternCounts, _pattern_codes, _PatternFold
+from .core import DataSetQuad, DataSetTriple, EmptyDataError
+from .data_inequality import PatternCounts, _PatternFold
 
 _TRIPLE_HEADER = ("a", "b", "bp")
 _DATA_SETS = {_TRIPLE_HEADER: DataSetTriple, ("a", "ap", "b", "bp"): DataSetQuad}
@@ -240,26 +241,28 @@ def read_pattern_counts(path: str) -> PatternCounts:
 
 
 _WRITE_ROWS = 1 << 16
+# A column's bytes as the sign of its cells: 0x01 (+1, True) is "+", and
+# 0x00 (False) and 0xFF (-1) are "-".
+_SIGNS = b"-+" + b"-" * 254
 
 
 class TriplesWriter:
     """Writes a triples file to the binary file ``fh``: the header, then rows slice by slice."""
 
     def __init__(self, fh):
-        import numpy as np
-
         fh.write(",".join(_TRIPLE_HEADER).encode() + b"\n")
         self._fh = fh
-        self._rows = np.array([
-            np.frombuffer(f"{a:+d},{b:+d},{bp:+d}\n".encode(), dtype=np.uint8)
-            for a, b, bp in sign_patterns(3)
-        ])
 
     def write(self, columns) -> None:
-        """Write one row per trial of the aligned (a, b, bp) columns, +-1 or bool (True = +1)."""
-        import numpy as np
+        """Write one row per trial of the aligned (a, b, bp) columns.
 
-        self._fh.write(np.take(self._rows, _pattern_codes(columns), axis=0))
+        A column is any buffer of one byte per trial: bool (True = +1), int8
+        +-1, or bytes of 1 (+1) and 0 (-1).
+        """
+        rows = bytearray(b"+1,+1,+1\n" * len(columns[0]))
+        for offset, column in zip((0, 3, 6), columns):
+            rows[offset::9] = bytes(column).translate(_SIGNS)
+        self._fh.write(rows)
 
 
 def write_triples_csv(path: str, data: DataSetTriple) -> PatternCounts:

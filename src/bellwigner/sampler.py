@@ -11,6 +11,9 @@ Randomness comes from numpy's Philox bit generator: counter-based, keyed by
 a 64-bit seed, with independent substreams selected by (seed, stream) via
 ``SeedSequence(seed, spawn_key=(stream,))``. Identical (seed, stream) pairs
 reproduce identical outputs bit for bit for a fixed numpy version.
+`philox` computes the same stream in the standard library, and a small
+`simulate` run draws from it without loading numpy; the sampling maths
+both share (`_conditionals`, the raw-draw limit) lives there.
 
 One driver, `_sample_slices`, draws every sample in slices of trials and
 hands them to a visitor in trial order. Either the visitor stores them as
@@ -24,14 +27,14 @@ Outputs are bit-identical to drawing whole columns for any slice size.
 
 from __future__ import annotations
 
-import math
 from typing import Sequence
 
 import numpy as np
 
-from .analytic import half_angle_factor, sin2_cos2, third_correlation
+from .analytic import third_correlation
 from .core import AngleConfig, ConvergenceRecord, DataSetTriple
 from .data_inequality import _margin_3_from_sums
+from .philox import _check_seed, _conditionals, _draw_limit
 
 
 class InsufficientMatchesError(RuntimeError):
@@ -40,10 +43,7 @@ class InsufficientMatchesError(RuntimeError):
 
 def make_rng(seed: int, stream: int = 0) -> np.random.Generator:
     """Philox generator for the given (seed, stream) substream."""
-    if seed < 0:
-        raise ValueError("seed must be a non-negative integer")
-    if stream < 0:
-        raise ValueError("stream must be a non-negative integer")
+    _check_seed(seed, stream)
     ss = np.random.SeedSequence(seed, spawn_key=(stream,))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -83,13 +83,8 @@ def _leave_at(bg: np.random.Philox, state: dict, skip: int) -> None:
 
 
 def _raw_limit(p: float) -> np.uint64 | None:
-    """The limit below which a raw 64-bit Philox draw has ``random() < p``; None if none.
-
-    ``random()`` is ``(raw >> 11) * 2**-53`` and ``raw >> 11`` is an integer,
-    so ``random() < p`` exactly when ``raw < ceil(p * 2**53) << 11``. For
-    p = 1 that limit is 2**64, above every draw and past uint64: None.
-    """
-    limit = math.ceil(p * 2**53) << 11
+    """`_draw_limit(p)` as a uint64; None for p = 1, whose limit 2**64 is past uint64."""
+    limit = _draw_limit(p)
     return None if limit >> 64 else np.uint64(limit)
 
 
@@ -115,12 +110,6 @@ def _conditional(
     alt ^= out
     alt &= a
     out ^= alt
-
-
-def _conditionals(cfg: AngleConfig, *settings: float) -> list[tuple[float, float]]:
-    """(P(+1 | a = -1), P(+1 | a = +1)) at each B-side setting: (cos^2, sin^2)."""
-    k = half_angle_factor(cfg.convention)
-    return [sin2_cos2(k, s - cfg.a)[::-1] for s in settings]
 
 
 def _sample_slices(n: int, rng: np.random.Generator, conditionals, visit) -> None:

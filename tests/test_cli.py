@@ -10,12 +10,14 @@ from unittest import mock
 import pytest
 
 from bellwigner import AngleConfig, data_bell_margin_3, make_rng, sample_dataset
-from bellwigner import EmptyDataError, LengthMismatchError, datafile, sampler
+from bellwigner import EmptyDataError, LengthMismatchError, cli, datafile, philox, sampler
 from bellwigner.cli import main
 from bellwigner.datafile import DataParseError, read_outcome_csv, write_triples_csv
 from conftest import SRC, blas_is_openblas
 
 WITNESS = "0,2.0943951023931953,1.0471975511965976"
+# cli._STDLIB_DRAWS values that send every simulate run to one path
+STDLIB_PATH, NUMPY_PATH = 1 << 62, 0
 
 
 def run(capsys, *argv):
@@ -205,17 +207,40 @@ def test_simulate_rejects_bad_n(capsys, tmp_path):
 
 
 def test_simulate_bad_seed_leaves_out_untouched(capsys, tmp_path):
-    # the seed is checked before --out is opened, so nothing is truncated or made
+    # the seed is checked before --out is opened, so nothing is truncated or
+    # made; both sampling paths refuse it with the same message
     existing = tmp_path / "existing.csv"
     existing.write_bytes(b"a,b,bp\n+1,-1,+1\n-1,+1,+1\n+1,+1,-1\n-1,-1,-1\n+1,-1,-1\n")
     before = existing.read_bytes()
     absent = tmp_path / "absent.csv"
-    for out in (existing, absent):
-        rc, _, err = run(capsys, "simulate", "--n", "5", "--seed", "-1", "--out", str(out))
-        assert rc == 2
-        assert "seed" in err
+    for draws in (STDLIB_PATH, NUMPY_PATH):
+        for out in (existing, absent):
+            with mock.patch.object(cli, "_STDLIB_DRAWS", draws):
+                rc, _, err = run(capsys, "simulate", "--n", "5", "--seed", "-1", "--out", str(out))
+            assert rc == 2
+            assert err == "error: seed must be a non-negative integer\n"
     assert existing.read_bytes() == before
     assert not absent.exists()
+
+
+@pytest.mark.parametrize("n", [1, 5, 1000, (1 << 14) + 1, 87_381, 87_382])
+@pytest.mark.parametrize(
+    "options",
+    [[], ["--seed", "2", "--angles", "0.4,0.4,1.3"],
+     ["--seed", str(2**64 + 3), "--angles", "0,3.141592653589793,1", "--convention", "optical"]],
+    ids=["witness", "b-equals-a", "optical"],
+)
+def test_simulate_paths_write_the_same_bytes(capsys, tmp_path, monkeypatch, options, n):
+    # the standard-library Philox and numpy's give the same file and summary;
+    # 87,381 trials are the most the default threshold sends to the former
+    monkeypatch.chdir(tmp_path)
+    outputs = []
+    for draws in (STDLIB_PATH, NUMPY_PATH):
+        with mock.patch.object(cli, "_STDLIB_DRAWS", draws):
+            rc, out, _ = run(capsys, "simulate", "--n", str(n), *options, "--out", "s.csv")
+        outputs.append((rc, out, (tmp_path / "s.csv").read_bytes()))
+    assert outputs[0] == outputs[1]
+    assert (3 * n <= cli._STDLIB_DRAWS) is (n <= 87_381)
 
 
 @pytest.mark.parametrize("command", ["analytic", "simulate", "convergence"])
@@ -384,15 +409,16 @@ def test_sizes_too_large_for_memory_exit_two(capsys, tmp_path, monkeypatch, argv
 
 
 def test_streamed_simulate_writes_the_sampled_data_set(tmp_path, capsys):
-    # slices end inside the file, yet the rows land in trial order: the
-    # bytes of writing the whole sampled data set
+    # slices end inside the file, yet the rows land in trial order on either
+    # path: the bytes of writing the whole sampled data set
     cfg = AngleConfig(0.0, 2 * math.pi / 3, math.pi / 3)
-    with mock.patch.object(sampler, "_DRAW_SLICE", 7):
-        rc, out, _ = run(capsys, "simulate", "--n", "1000", "--seed", "5", "--out", str(tmp_path / "s.csv"))
-        expected = write_triples_csv(str(tmp_path / "w.csv"), sample_dataset(cfg, 1000, make_rng(5)))
-    assert rc == 0
-    assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
-    assert json.loads(out)["data_inequality"] == data_bell_margin_3(expected).as_dict()
+    expected = write_triples_csv(str(tmp_path / "w.csv"), sample_dataset(cfg, 1000, make_rng(5)))
+    for draws, module, name in ((STDLIB_PATH, philox, "_SLICE"), (NUMPY_PATH, sampler, "_DRAW_SLICE")):
+        with mock.patch.object(cli, "_STDLIB_DRAWS", draws), mock.patch.object(module, name, 7):
+            rc, out, _ = run(capsys, "simulate", "--n", "1000", "--seed", "5", "--out", str(tmp_path / "s.csv"))
+        assert rc == 0
+        assert (tmp_path / "s.csv").read_bytes() == (tmp_path / "w.csv").read_bytes()
+        assert json.loads(out)["data_inequality"] == data_bell_margin_3(expected).as_dict()
 
 
 def test_simulate_memory_does_not_grow_with_n(tmp_path, capsys):
@@ -489,10 +515,14 @@ def test_argument_parsing_loads_neither_numpy_nor_the_submodules(python, argv, c
         # the closed forms of one setting triple are plain floats
         (["analytic"], {"numpy", "dataclasses", "bellwigner.data_inequality"}),
         (["convergence", "--n-list", "100,1000"], {"bellwigner.datafile", "bellwigner.sweep"}),
+        # a small run draws numpy's Philox stream in the standard library
+        (["simulate", "--n", "1000", "--out", "s.csv"], {"numpy", "bellwigner.sampler", "bellwigner.sweep"}),
+        (["simulate", "--n", "100000", "--out", "s.csv"], {"bellwigner.sweep"}),
     ],
     ids=[
         "sweep", "sweep-out", "sweep-out-stdout", "check-data", "check-data-quads",
         "check-data-csv", "check-data-csv-fallback", "analytic", "convergence",
+        "simulate-small", "simulate-large",
     ],
 )
 def test_each_command_loads_only_its_own_modules(python, tmp_path, argv, absent):

@@ -20,7 +20,6 @@ from bellwigner import data_inequality
 from bellwigner.data_inequality import (
     _QUAD_BRACKETS,
     _PatternFold,
-    _pattern_codes,
     _triple_sums,
     sign_patterns,
 )
@@ -198,19 +197,11 @@ def test_the_data_layer_runs_without_numpy(python, tmp_path):
     assert [list(map(int, line.split())) for line in out[1:]] == expected
 
 
-@pytest.mark.parametrize("rows", [ALL_TRIPLES, ALL_QUADS], ids=["triple", "quad"])
-def test_pattern_codes_put_the_first_column_in_the_highest_bit(rows):
-    width = len(rows[0])
-    codes = _pattern_codes(np.array(rows, dtype=np.int8).T)
-    assert codes.dtype == np.uint8
-    expected = [sum(1 << (width - 1 - j) for j, v in enumerate(row) if v > 0) for row in rows]
-    assert codes.tolist() == expected
-
-
 @pytest.mark.parametrize("width", [3, 4])
 def test_sign_patterns_are_in_pattern_code_order(width):
-    codes = _pattern_codes(np.array(sign_patterns(width), dtype=np.int8).T)
-    assert codes.tolist() == list(range(1 << width))
+    # pattern p is +1 exactly at the set bits of p, the first column highest
+    codes = [sum(1 << (width - 1 - j) for j, v in enumerate(row) if v > 0) for row in sign_patterns(width)]
+    assert codes == list(range(1 << width))
 
 
 def test_sums_from_counts_equal_column_products():

@@ -27,6 +27,7 @@ from bellwigner import cli, datafile
 from bellwigner.datafile import (
     DataParseError,
     RaggedRowError,
+    TriplesWriter,
     read_outcome_csv,
     read_pattern_counts,
     write_triples_csv,
@@ -452,6 +453,26 @@ def test_writer_matches_csv_writer(tmp_path_factory, rows, slice_rows):
         counts = write_triples_csv(str(out / "table.csv"), data)
     assert (out / "table.csv").read_bytes() == (out / "reference.csv").read_bytes()
     assert counts == PatternCounts.of(data)
+
+
+@settings(max_examples=50, deadline=None)
+@given(rows=st.lists(trial_rows, min_size=1, max_size=40))
+def test_writer_takes_bool_int8_and_flag_bytes_columns(rows):
+    # the sampler hands the writer bool rows, write_triples_csv int8 +-1
+    # columns and the standard-library sampler bytes of 1 and 0
+    data = DataSetTriple.from_trials(rows)
+    columns = [data.a, data.b, data.bp]
+    written = []
+    for form in (
+        columns,
+        [c > 0 for c in columns],
+        [bytes(c > 0) for c in columns],
+    ):
+        fh = io.BytesIO()
+        TriplesWriter(fh).write(form)
+        written.append(fh.getvalue())
+    expected = "a,b,bp\n" + "".join(f"{a:+d},{b:+d},{bp:+d}\n" for a, b, bp in rows)
+    assert written == [expected.encode()] * 3
 
 
 def test_written_counts_equal_the_counts_read_back(tmp_path):

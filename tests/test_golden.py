@@ -13,7 +13,7 @@ import struct
 import numpy as np
 import pytest
 
-from bellwigner import AngleConfig, make_rng, matched_pairs_estimate
+from bellwigner import AngleConfig, cli, make_rng, matched_pairs_estimate
 from bellwigner.cli import main
 from bellwigner.sweep import _grid_floats
 
@@ -125,7 +125,57 @@ def test_libm_fingerprint_covers_every_sweep_argument(tmp_path, monkeypatch, cap
     assert seen and seen <= set(libm_arguments([200]))
 
 
+def sampling_libm_arguments():
+    """The floats that the simulate, convergence and matched-pairs golden cases pass to math.sin and math.cos.
+
+    The sampler takes sin and cos of k (s - a) at each B-side setting s
+    (`_conditionals`), and the summaries cos of 2k (s - a)
+    (`bell_correlation`, `third_correlation`). Every case uses the witness
+    angles (the matched pairs swap b and b'), with k = 1/2 (SPIN) or 1 (OPTICAL).
+    """
+    a, b, bp = cli._parse_angles(cli._WITNESS_ANGLES, False)
+    return sorted({f * k * (s - a) for f in (1.0, 2.0) for k in (0.5, 1.0) for s in (b, bp)})
+
+
+def test_libm_fingerprint_of_the_sampling_digests():
+    # the sampling digests below rest on the platform libm as the sweep's do:
+    # the conditional probabilities set every raw-draw limit
+    args = sampling_libm_arguments()
+    assert hashlib.sha256(struct.pack(f"<{len(args)}d", *args)).hexdigest() == (
+        "5a8eff85fef982cb241665aed81e46eaa0c5a39ff820dcd98ee81fb91d966faf"
+    ), "the sampler's trig arguments changed: the witness angles or the scaling differs"
+    values = b"".join(struct.pack("<3d", x, math.sin(x), math.cos(x)) for x in args)
+    assert hashlib.sha256(values).hexdigest() == (
+        "f66ccf534cb46f9b417f350f72e139ac9859f2ea5763a4bc7df4a298103dc742"
+    ), (
+        "math.sin/math.cos differ from the libm that the simulate and convergence "
+        "digests were pinned on, so those digests cannot match on this host"
+    )
+
+
+def test_libm_fingerprint_covers_every_sampling_argument(tmp_path, monkeypatch, capsys):
+    # the arguments do not depend on the sample count, so small runs of each
+    # golden case, on both simulate paths, show every one
+    seen = set()
+    for name in ("sin", "cos"):
+        def call(x, real=getattr(math, name)):
+            seen.add(x)
+            return real(x)
+
+        monkeypatch.setattr(math, name, call)
+    monkeypatch.chdir(tmp_path)
+    for draws in (cli._STDLIB_DRAWS, 0):
+        monkeypatch.setattr(cli, "_STDLIB_DRAWS", draws)
+        main(["simulate", "--n", "10", "--out", "sim.csv"])
+    for extra in ([], ["--convention", "optical", "--format", "json"]):
+        main(["convergence", "--n-list", "10", *extra])
+    matched_pairs_estimate(MC_CONFIG, 100, make_rng(42, stream=1))
+    capsys.readouterr()
+    assert seen and seen <= set(sampling_libm_arguments())
+
+
 def test_simulate_file_bytes(tmp_path, capsys):
+    # 1000 trials are drawn by the standard-library Philox, 200,000 (below) by numpy's
     out = tmp_path / "sim.csv"
     assert main(["simulate", "--n", "1000", "--seed", "42", "--out", str(out)]) == 0
     capsys.readouterr()
